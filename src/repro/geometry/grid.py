@@ -15,7 +15,7 @@ the field are binned into the border cells and still found.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.geometry.vector import Vec2
@@ -28,7 +28,7 @@ Cell = Tuple[int, int]
 class UniformGrid:
     """Cell math for an axis-aligned ``[0, width] x [0, height]`` grid."""
 
-    __slots__ = ("width", "height", "cell_size", "cols", "rows")
+    __slots__ = ("width", "height", "cell_size", "cols", "rows", "_blocks")
 
     def __init__(self, width: float, height: float, cell_size: float) -> None:
         if width <= 0 or height <= 0:
@@ -40,6 +40,7 @@ class UniformGrid:
         self.cell_size = float(cell_size)
         self.cols = max(1, math.ceil(self.width / self.cell_size))
         self.rows = max(1, math.ceil(self.height / self.cell_size))
+        self._blocks: Dict[Tuple[int, int, int], List[Cell]] = {}
 
     @property
     def cell_count(self) -> int:
@@ -77,12 +78,22 @@ class UniformGrid:
         """
         return math.ceil(radius / self.cell_size) if radius > 0 else 0
 
-    def cell_block(self, cell: Cell, reach: int) -> Iterator[Cell]:
-        """The clamped ``(2*reach + 1)²`` block of cells around ``cell``."""
+    def cell_block(self, cell: Cell, reach: int) -> List[Cell]:
+        """The clamped ``(2*reach + 1)²`` block of cells around ``cell``.
+
+        Memoised per ``(cell, reach)``: the grid's geometry never changes,
+        and neighbour scans ask for the same blocks at every snapshot.
+        """
         col, row = cell
-        for c in range(max(0, col - reach), min(self.cols - 1, col + reach) + 1):
-            for w in range(max(0, row - reach), min(self.rows - 1, row + reach) + 1):
-                yield (c, w)
+        key = (col, row, reach)
+        block = self._blocks.get(key)
+        if block is None:
+            block = self._blocks[key] = [
+                (c, w)
+                for c in range(max(0, col - reach), min(self.cols - 1, col + reach) + 1)
+                for w in range(max(0, row - reach), min(self.rows - 1, row + reach) + 1)
+            ]
+        return block
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"UniformGrid({self.cols}x{self.rows} cells of {self.cell_size:.0f}m)"

@@ -1,10 +1,11 @@
 """Vectorized mobility state: the MobilityBank.
 
-``TopologyIndex`` rebuilds a position snapshot at every distinct query
-instant, and with the MAC attempt scheduler batched (PR 6) those builds —
-n Python ``position()`` calls each — dominate flood-storm wall time.  The
-bank collapses a build into one masked numpy lerp by holding *every*
-node's current trajectory as rows of segment arrays:
+``TopologyIndex`` builds a position snapshot for bulk queries, anchors
+and — for trajectories with no ``speed_bound``, which bank rows are — at
+every distinct neighbour-query instant; scalar, each build is n Python
+``position()`` calls.  The bank collapses a build into one masked numpy
+lerp by holding *every* node's current trajectory as rows of segment
+arrays:
 
 ``t_start / t_end / ax / ay / bx / by``
     one row per node, one column per trajectory segment, padded with

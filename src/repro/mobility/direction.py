@@ -98,6 +98,14 @@ class RandomDirection(MobilityModel):
         return self._pause
 
     @property
+    def speed_bound(self) -> float:
+        """As for :class:`RandomWaypoint`; the 1 µs re-aim floor only
+        lengthens a leg, so it can only lower that leg's speed."""
+        if self._max_speed <= 0.0:
+            return 0.0
+        return max(self._max_speed, _MIN_SPEED)
+
+    @property
     def origin(self) -> Vec2:
         """Position at t = 0 (the initial zero-length pause's anchor)."""
         return self._segments[0].a

@@ -34,6 +34,12 @@ class WaypointPath(MobilityModel):
         """The validated ``(time, point)`` anchors, in order."""
         return tuple(self._anchors)
 
+    @property
+    def speed_bound(self) -> float:
+        """The fastest leg's speed (0 for a single anchor)."""
+        legs = zip(self._anchors, self._anchors[1:])
+        return max((p0.distance_to(p1) / (t1 - t0) for (t0, p0), (t1, p1) in legs), default=0.0)
+
     def position(self, t: float) -> Vec2:
         anchors = self._anchors
         if t <= anchors[0][0]:

@@ -20,5 +20,9 @@ class StaticPosition(MobilityModel):
     def speed_at(self, t: float) -> float:
         return 0.0
 
+    @property
+    def speed_bound(self) -> float:
+        return 0.0
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"StaticPosition({self._position.x:.1f}, {self._position.y:.1f})"

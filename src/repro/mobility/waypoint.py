@@ -127,6 +127,14 @@ class RandomWaypoint(MobilityModel):
         return self._pause
 
     @property
+    def speed_bound(self) -> float:
+        """Every leg's speed is a clamped draw from ``[0, max_speed]``;
+        a parked terminal (``max_speed == 0``) never moves."""
+        if self._max_speed <= 0.0:
+            return 0.0
+        return max(self._max_speed, _MIN_SPEED)
+
+    @property
     def origin(self) -> Vec2:
         """Position at t = 0 (the initial zero-length pause's anchor)."""
         return self._segments[0].a

@@ -8,8 +8,9 @@ to the shared substrate, and answers topology queries (positions,
 neighbour sets) for every layer.
 
 Topology queries delegate to a :class:`~repro.topology.TopologyIndex` — a
-uniform spatial hash grid over per-epoch-cached positions — so
-``neighbors()`` costs a cell-neighbourhood scan instead of the seed's
+uniform spatial hash grid over position snapshots — so ``neighbors()``
+evaluates a node's drift-bounded candidate list (each model's
+``speed_bound``, passed in by :meth:`add_node`) instead of the seed's
 O(n) mobility re-evaluation per query.  The ``Network`` methods remain
 the stable facade; new code that needs richer queries (arbitrary radii,
 bulk maps) can reach ``network.topology`` directly.
@@ -178,7 +179,7 @@ class Network:
             alive=self.is_alive,
         )
         self._nodes[nid] = node
-        self.topology.add(nid, node.position)
+        self.topology.add(nid, node.position, speed_bound=mobility.speed_bound)
         self._control_handlers = None  # membership changed: rebuild on next batch
         return node
 

@@ -7,17 +7,23 @@ The seed implementation answered both by brute force: every
 scanned all n terminals (O(n²) per MAC transmission).  The
 :class:`TopologyIndex` replaces that hot path with:
 
-* **Per-epoch position caching** — positions are sampled from the mobility
-  models once per time quantum (exact query time when ``quantum == 0``,
-  the default) and shared by every consumer: neighbour queries, channel
-  gain lookups, carrier sensing.  A small LRU of recent epochs keeps the
-  MAC's queries at transmission-start times (slightly in the past) cheap.
+* **Drift-bounded candidate lists** (Verlet lists with a skin) — when
+  every trajectory declares a speed bound, one *anchor* snapshot serves
+  every neighbour query while ``2 * v_max * |t - t_anchor|`` stays below
+  the skin.  Each node's list holds the nodes within ``radius + skin`` of
+  it at the anchor; a query evaluates only those candidates at ``t``.
+  Answers are exactly the grid scan's.
+* **Snapshots** — positions sampled from the mobility models at one
+  instant (the exact query time when ``quantum == 0``, the default) and
+  shared by every consumer at that instant: anchors, bulk maps, channel
+  gain arrays, and the per-instant path for trajectories with no bound.
 * **A uniform spatial hash grid** — nodes are binned into cells of
   ``cell_size`` metres (default: the neighbour radius), so a radius query
   inspects only the 3x3-ish cell neighbourhood instead of all nodes.
-* **Incremental neighbour-set maintenance** — each epoch's cell buckets
-  are derived copy-on-write from the previous epoch's: only nodes that
-  crossed a cell boundary move buckets, everything else is shared.
+* **Incremental neighbour-set maintenance** — each snapshot's cell
+  buckets are derived copy-on-write from the previous snapshot's: only
+  nodes that crossed a cell boundary move buckets, everything else is
+  shared.
 
 Staleness contract: with ``quantum == 0`` every answer is exact.  With
 ``quantum > 0`` positions are frozen at the start of each quantum, so any
@@ -29,7 +35,6 @@ docs/ARCHITECTURE.md.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,10 +43,21 @@ from repro.errors import ConfigurationError, TopologyError
 from repro.geometry.field import Field
 from repro.geometry.grid import Cell, UniformGrid
 from repro.geometry.vector import Vec2
+from repro.mobility.base import DRIFT_MARGIN_M
 
 __all__ = ["TopologyIndex"]
 
 PositionFn = Callable[[float], Vec2]
+
+#: Candidate-list skin as a fraction of the neighbour radius.  A thicker
+#: skin keeps an anchor valid for longer but puts more candidates in
+#: every list.  Skins of 0.1, 0.25 and 0.5 of the radius took 10.3, 10.3
+#: and 10.5 CPU-s on the n = 50 paper cell and 4.5, 4.6 and 4.8 on the
+#: n = 200 storm (perfbench, seed 1).
+_SKIN_FRACTION = 0.1
+#: Drift the anchor's reuse test keeps in reserve (metres): both nodes'
+#: ``DRIFT_MARGIN_M`` plus the rounding of the two distance tests.
+_SKIN_RESERVE_M = 4.0 * DRIFT_MARGIN_M
 
 
 class _Snapshot:
@@ -51,22 +67,20 @@ class _Snapshot:
     concatenation of the cell's ``(2*reach + 1)²`` neighbourhood — every
     query from the same cell at the same epoch shares one list.
 
-    ``coords``/``slot_of`` are the lazily-built array view used by the
-    batched queries: an (n, 2) float array of every position plus the
-    id -> row mapping (``slot_of is None`` flags the dense fast path
-    where ids 0..n-1 index ``coords`` directly).  The array is only
-    built once a snapshot has served about a full field's worth of
-    batched gathers (``gathered``) — a snapshot that answers a single
-    neighbour-set query never pays the O(n) conversion.
+    ``coords``/``slot_of`` are the array view used by the batched
+    queries: an (n, 2) float array of every position plus the id -> row
+    mapping (``slot_of is None`` flags the dense fast path where ids
+    0..n-1 index ``coords`` directly).  A dict snapshot builds the array
+    only once it has served about a full field's worth of batched
+    gathers (``gathered``).
 
-    Snapshots come in two flavours.  *Scalar* snapshots (the default) are
-    built from per-node ``position()`` calls and carry the ``positions``
-    dict eagerly.  *Array* snapshots (:meth:`from_arrays`, used when a
-    bulk position source such as the mobility bank is wired in) carry
+    Snapshots come in two flavours.  *Array* snapshots (:meth:`from_arrays`,
+    built whenever node ids are dense, the simulator's case) carry
     ``coords`` plus plain-list ``xl``/``yl`` columns and a ``cell_codes``
     array for incremental bucket diffing; their ``positions`` dict is a
     lazy property materialised only if a cold path still asks for it —
-    the hot queries read the columns directly.
+    the hot queries read the columns directly.  *Dict* snapshots (sparse
+    ids) carry the ``positions`` dict eagerly and a ``cell_of`` map.
     """
 
     __slots__ = (
@@ -107,14 +121,16 @@ class _Snapshot:
         cls,
         time: float,
         coords: np.ndarray,
+        xl: List[float],
+        yl: List[float],
         cells: Dict[Cell, List[int]],
         cell_codes: np.ndarray,
     ) -> "_Snapshot":
         """Build an array snapshot (dense ids 0..n-1 index every column)."""
         snap = cls(time, None, cells, None)
         snap.coords = coords
-        snap.xl = coords[:, 0].tolist()
-        snap.yl = coords[:, 1].tolist()
+        snap.xl = xl
+        snap.yl = yl
         snap.cell_codes = cell_codes
         return snap
 
@@ -158,7 +174,6 @@ class TopologyIndex:
             samples at exact query times; > 0 snaps query times down to
             multiples of ``quantum`` (positions may then be stale by up to
             one quantum).
-        max_snapshots: how many recent epochs to keep cached.
     """
 
     def __init__(
@@ -167,28 +182,34 @@ class TopologyIndex:
         radius: float,
         cell_size: Optional[float] = None,
         quantum: float = 0.0,
-        max_snapshots: int = 8,
     ) -> None:
         if radius < 0:
             raise ConfigurationError(f"neighbour radius must be >= 0, got {radius}")
         if quantum < 0:
             raise ConfigurationError(f"position quantum must be >= 0, got {quantum}")
-        if max_snapshots < 1:
-            raise ConfigurationError("max_snapshots must be >= 1")
         self.field = field
         self.radius = float(radius)
         if cell_size is None:
             cell_size = radius if radius > 0 else max(field.width, field.height)
         self.grid = UniformGrid(field.width, field.height, cell_size)
+        self._skin = _SKIN_FRACTION * self.radius
         self.quantum = float(quantum)
         self._position_fns: Dict[int, PositionFn] = {}
         # Inactive (failed) nodes: still tracked — point queries must keep
         # answering for in-flight transmissions — but excluded from every
         # set query (cell buckets, neighbour scans, neighbour maps).
         self._inactive: set = set()
-        self._snapshots: "OrderedDict[float, _Snapshot]" = OrderedDict()
-        self._max_snapshots = max_snapshots
-        self._latest: Optional[_Snapshot] = None  # fast path: most recent epoch
+        # Per-node speed bounds (None: unbounded) and the anchor reuse
+        # horizon they imply (seconds; None: no candidate lists), derived
+        # on the first query after a membership change.
+        self._speed_bounds: Dict[int, Optional[float]] = {}
+        self._horizon: Optional[float] = None
+        self._horizon_stale = True
+        self._latest: Optional[_Snapshot] = None  # the most recent snapshot
+        # Drift-bounded candidate lists: the anchor snapshot and, per node,
+        # the ids within radius + skin of it there (built on first query).
+        self._anchor: Optional[_Snapshot] = None
+        self._lists: Dict[int, List[int]] = {}
         self._bulk_source: Optional[Callable[[float], np.ndarray]] = None
         self._ids_dense: Optional[bool] = None  # cached; None = unknown
         #: Diagnostics: full snapshot builds and incremental bucket moves.
@@ -198,23 +219,42 @@ class TopologyIndex:
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
-    def add(self, node_id: int, position_fn: PositionFn) -> None:
-        """Register a node's trajectory.  Invalidates cached snapshots."""
+    def add(
+        self, node_id: int, position_fn: PositionFn, speed_bound: Optional[float] = None
+    ) -> None:
+        """Register a node's trajectory.  Invalidates cached snapshots.
+
+        ``speed_bound`` is the trajectory's
+        :attr:`~repro.mobility.base.MobilityModel.speed_bound`.  While
+        every node has one, neighbour queries run on drift-bounded
+        candidate lists; any None keeps the per-instant snapshot path.
+        """
         if node_id in self._position_fns:
             raise TopologyError(f"node id {node_id} already indexed")
+        if speed_bound is not None and not speed_bound >= 0:
+            raise ConfigurationError(f"speed bound must be >= 0, got {speed_bound}")
         self._position_fns[node_id] = position_fn
-        self._snapshots.clear()
-        self._latest = None
-        self._ids_dense = None
+        self._speed_bounds[node_id] = speed_bound
+        self._membership_changed()
 
     def remove(self, node_id: int) -> None:
         """Forget a node.  Invalidates cached snapshots."""
         self._lookup(node_id)
         del self._position_fns[node_id]
+        del self._speed_bounds[node_id]
         self._inactive.discard(node_id)
-        self._snapshots.clear()
-        self._latest = None
+        self._membership_changed()
+
+    def _membership_changed(self) -> None:
+        self._invalidate()
         self._ids_dense = None
+        self._horizon_stale = True
+
+    def _invalidate(self) -> None:
+        """Drop every cached snapshot, the anchor and its lists."""
+        self._latest = None
+        self._anchor = None
+        self._lists = {}
 
     def set_active(self, node_id: int, active: bool) -> None:
         """Mark a node active/inactive for set queries (fault injection).
@@ -236,8 +276,7 @@ class TopologyIndex:
             if node_id in self._inactive:
                 return
             self._inactive.add(node_id)
-        self._snapshots.clear()
-        self._latest = None
+        self._invalidate()
 
     def is_active(self, node_id: int) -> bool:
         """True unless ``node_id`` was deactivated via :meth:`set_active`."""
@@ -255,8 +294,7 @@ class TopologyIndex:
         ``position_fn``s read the same bank rows.
         """
         self._bulk_source = source
-        self._snapshots.clear()
-        self._latest = None
+        self._invalidate()
 
     def __len__(self) -> int:
         return len(self._position_fns)
@@ -291,13 +329,8 @@ class TopologyIndex:
         O(n) resample of the whole field.
         """
         ts = self.snap(t)
-        latest = self._latest
-        snapshot = (
-            latest
-            if latest is not None and latest.time == ts
-            else self._snapshots.get(ts)
-        )
-        if snapshot is not None:
+        snapshot = self._latest
+        if snapshot is not None and snapshot.time == ts:
             xl = snapshot.xl
             if xl is not None:
                 if 0 <= node_id < len(xl):
@@ -326,12 +359,9 @@ class TopologyIndex:
         """Positions of every node in ``ids`` at ``t`` (epoch-cached when
         a snapshot for ``snap(t)`` already exists; never builds one)."""
         ts = self.snap(t)
-        latest = self._latest
-        snapshot = (
-            latest
-            if latest is not None and latest.time == ts
-            else self._snapshots.get(ts)
-        )
+        snapshot = self._latest
+        if snapshot is not None and snapshot.time != ts:
+            snapshot = None
         try:
             if snapshot is not None:
                 xl = snapshot.xl
@@ -361,12 +391,9 @@ class TopologyIndex:
         if not others:
             return np.empty(0)
         ts = self.snap(t)
-        latest = self._latest
-        snapshot = (
-            latest
-            if latest is not None and latest.time == ts
-            else self._snapshots.get(ts)
-        )
+        snapshot = self._latest
+        if snapshot is not None and snapshot.time != ts:
+            snapshot = None
         if snapshot is not None and snapshot.coords is None:
             snapshot.gathered += len(others)
             if snapshot.gathered >= len(snapshot.positions):
@@ -436,12 +463,33 @@ class TopologyIndex:
         return bool(self.which_within(node_id, others, t, range_m).any())
 
     # ------------------------------------------------------------------
-    # Set queries (grid-backed, build/reuse a snapshot)
+    # Set queries (grid-backed: candidate lists or a snapshot)
     # ------------------------------------------------------------------
     def neighbors(self, node_id: int, t: float, radius: Optional[float] = None) -> List[int]:
-        """Ids within ``radius`` (default: the index radius), ascending."""
+        """Ids within ``radius`` (default: the index radius), ascending.
+
+        A snapshot cached for ``snap(t)`` is scanned directly.  Otherwise,
+        while every trajectory has a speed bound and ``radius`` is at most
+        the index radius, the query evaluates only the node's candidate
+        list at ``t``; failing both, it builds a snapshot at ``snap(t)``.
+        Every path applies the same distance test to the same positions,
+        so all three return the same ids.
+        """
         r = self.radius if radius is None else radius
-        snapshot = self._snapshot(t)
+        ts = self.snap(t)
+        snapshot = self._latest
+        if snapshot is None or snapshot.time != ts:
+            anchor = self._anchor_for(ts) if r <= self.radius else None
+            if anchor is None:
+                snapshot = self._snapshot(ts)
+            elif anchor.time == ts:
+                snapshot = anchor
+            else:
+                return self._from_list(anchor, node_id, ts, r)
+        return self._scan_node(snapshot, node_id, r)
+
+    def _scan_node(self, snapshot: _Snapshot, node_id: int, r: float) -> List[int]:
+        """Grid scan around ``node_id``'s position in ``snapshot``."""
         xl = snapshot.xl
         if xl is not None:
             if not 0 <= node_id < len(xl):
@@ -452,6 +500,59 @@ class TopologyIndex:
         except KeyError:
             raise TopologyError(f"unknown node id {node_id}") from None
         return self._scan(snapshot, origin.x, origin.y, r, node_id)
+
+    def _anchor_for(self, ts: float) -> Optional[_Snapshot]:
+        """The anchor snapshot whose candidate lists are valid at ``ts``.
+
+        Re-anchors at ``ts`` (one snapshot build) once the current anchor
+        is more than the drift horizon away; None when some trajectory
+        has no speed bound.
+        """
+        if self._horizon_stale:
+            self._horizon = self._drift_horizon()
+            self._horizon_stale = False
+        horizon = self._horizon
+        if horizon is None:
+            return None
+        anchor = self._anchor
+        if anchor is None or abs(ts - anchor.time) > horizon:
+            anchor = self._anchor = self._snapshot(ts)
+            self._lists = {}
+        return anchor
+
+    def _drift_horizon(self) -> Optional[float]:
+        """How long (s) an anchor's lists stay complete, or None.
+
+        Two nodes within ``radius`` at ``t`` were within ``radius + skin``
+        at the anchor while each has drifted at most half the skin:
+        ``2 * v_max * |t - t_anchor| <= skin``, less a reserve for the
+        speed-bound margin and rounding.
+        """
+        bounds = list(self._speed_bounds.values())
+        if None in bounds:
+            return None
+        v_max = max(bounds, default=0.0)
+        if v_max == 0.0:
+            return math.inf
+        budget = self._skin - _SKIN_RESERVE_M
+        return budget / (2.0 * v_max) if budget > 0.0 else None
+
+    def _from_list(self, anchor: _Snapshot, node_id: int, ts: float, r: float) -> List[int]:
+        """``node_id``'s candidates (ascending) that are within ``r`` at ``ts``."""
+        cand = self._lists.get(node_id)
+        if cand is None:
+            cand = self._scan_node(anchor, node_id, self.radius + self._skin)
+            self._lists[node_id] = cand
+        fns = self._position_fns
+        ox, oy = fns[node_id](ts)
+        hyp = math.hypot
+        out: List[int] = []
+        append = out.append
+        for nid in cand:
+            p = fns[nid](ts)
+            if hyp(ox - p[0], oy - p[1]) <= r:
+                append(nid)
+        return out
 
     def nodes_within(self, point: Vec2, t: float, radius: float) -> List[int]:
         """Ids within ``radius`` metres of an arbitrary point, ascending."""
@@ -511,9 +612,11 @@ class TopologyIndex:
         Inactive (failed) nodes are omitted from the keys as well as from
         every neighbour list — a dead node has no adjacency.
         """
+        r = self.radius if radius is None else radius
+        snapshot = self._snapshot(t)
         inactive = self._inactive
         return {
-            nid: self.neighbors(nid, t, radius)
+            nid: self._scan_node(snapshot, nid, r)
             for nid in sorted(self._position_fns)
             if nid not in inactive
         }
@@ -537,34 +640,21 @@ class TopologyIndex:
     # Snapshot maintenance
     # ------------------------------------------------------------------
     def _snapshot(self, t: float) -> _Snapshot:
+        """The snapshot for ``snap(t)``: the latest one, or a new build."""
         ts = self.snap(t)
         latest = self._latest
-        if latest is not None and latest.time == ts:
-            return latest
-        snapshot = self._snapshots.get(ts)
-        if snapshot is not None:
-            self._snapshots.move_to_end(ts)
-            return snapshot
-        snapshot = self._build(ts)
-        self._snapshots[ts] = snapshot
-        self._latest = snapshot
-        if len(self._snapshots) > self._max_snapshots:
-            self._snapshots.popitem(last=False)
-        return snapshot
+        if latest is None or latest.time != ts:
+            latest = self._latest = self._build(ts)
+        return latest
 
     def _build(self, ts: float) -> _Snapshot:
         """Sample every trajectory once; rebucket only nodes that moved cells."""
-        if self._bulk_source is not None:
-            if self._ids_dense is None:
-                self._ids_dense = all(
-                    nid == i for i, nid in enumerate(self._position_fns)
-                )
-            if self._ids_dense:
-                return self._build_bulk(ts)
+        if self._ids_dense is None:
+            self._ids_dense = all(nid == i for i, nid in enumerate(self._position_fns))
+        if self._ids_dense:
+            return self._build_array(ts)
         self.snapshots_built += 1
-        base = next(reversed(self._snapshots.values())) if self._snapshots else None
-        if base is not None and base.cell_of is None:
-            base = None  # array snapshot: no dict cell map to diff against
+        base = self._latest
         positions: Dict[int, Vec2] = {}
         cell_of_point = self.grid.cell_of
         inactive = self._inactive
@@ -584,10 +674,10 @@ class TopologyIndex:
                 else:
                     bucket.append(nid)
             return _Snapshot(ts, positions, cells, cell_of)
-        # Copy-on-write from the most recent snapshot: bucket lists are
-        # shared until a node crosses into or out of them.  Activity
-        # changes clear the cache, so base and this build always agree on
-        # the inactive set: an inactive node is in neither bucket map.
+        # Copy-on-write from the latest snapshot: bucket lists are shared
+        # until a node crosses into or out of them.  Activity changes drop
+        # the latest snapshot, so base and this build always agree on the
+        # inactive set: an inactive node is in neither bucket map.
         cells = dict(base.cells)
         cell_of = dict(base.cell_of)
         touched: set = set()
@@ -606,24 +696,36 @@ class TopologyIndex:
             cell_of[nid] = c
         return _Snapshot(ts, positions, cells, cell_of)
 
-    def _build_bulk(self, ts: float) -> _Snapshot:
-        """One bulk-source call + vectorized cell binning per snapshot.
+    def _build_array(self, ts: float) -> _Snapshot:
+        """Positions as columns + vectorized cell binning (dense ids).
 
-        Cell indices replicate ``UniformGrid._col``/``_row`` exactly
-        (clamp, divide, truncate, clamp to the last cell — truncation
-        equals floor for the non-negative clamped values), so scalar and
-        bulk builds bucket identically.  Against a previous array
-        snapshot only nodes whose packed cell code changed move buckets,
-        copy-on-write, same as the scalar incremental build.
+        Positions come from the bulk source when one is wired in, else
+        from one ``position()`` call per node.  Cell indices replicate
+        ``UniformGrid._col``/``_row`` exactly (clamp, divide, truncate,
+        clamp to the last cell — truncation equals floor for the
+        non-negative clamped values), so both flavours bucket
+        identically.  Against the latest snapshot only nodes whose packed
+        cell code changed move buckets, copy-on-write.
         """
         self.snapshots_built += 1
-        coords = np.asarray(self._bulk_source(ts), dtype=float)
         n = len(self._position_fns)
-        if coords.shape != (n, 2):
-            raise TopologyError(
-                f"bulk position source returned shape {coords.shape}, "
-                f"expected ({n}, 2)"
-            )
+        if self._bulk_source is not None:
+            coords = np.asarray(self._bulk_source(ts), dtype=float)
+            if coords.shape != (n, 2):
+                raise TopologyError(
+                    f"bulk position source returned shape {coords.shape}, "
+                    f"expected ({n}, 2)"
+                )
+            xl = coords[:, 0].tolist()
+            yl = coords[:, 1].tolist()
+        else:
+            xl = []
+            yl = []
+            for fn in self._position_fns.values():
+                x, y = fn(ts)
+                xl.append(x)
+                yl.append(y)
+            coords = np.column_stack((xl, yl))
         grid = self.grid
         cs = grid.cell_size
         col = np.minimum(
@@ -637,15 +739,11 @@ class TopologyIndex:
         codes = col * grid.rows + row
         if self._inactive:
             # Inactive nodes carry the -1 sentinel: never bucketed, and
-            # (since activity changes clear the snapshot cache) never part
+            # (since activity changes drop the latest snapshot) never part
             # of an incremental diff either.
             codes[list(self._inactive)] = -1
-        base = next(reversed(self._snapshots.values())) if self._snapshots else None
-        if (
-            base is None
-            or base.cell_codes is None
-            or base.cell_codes.shape[0] != n
-        ):
+        base = self._latest
+        if base is None or base.cell_codes is None or base.cell_codes.shape[0] != n:
             cells: Dict[Cell, List[int]] = {}
             cl = col.tolist()
             rl = row.tolist()
@@ -659,7 +757,7 @@ class TopologyIndex:
                     cells[c] = [nid]
                 else:
                     bucket.append(nid)
-            return _Snapshot.from_arrays(ts, coords, cells, codes)
+            return _Snapshot.from_arrays(ts, coords, xl, yl, cells, codes)
         cells = dict(base.cells)
         touched: set = set()
         moved = np.nonzero(codes != base.cell_codes)[0]
@@ -672,7 +770,7 @@ class TopologyIndex:
                 new = (int(col[nid]), int(row[nid]))
                 self._mutable_bucket(cells, touched, old).remove(nid)
                 self._mutable_bucket(cells, touched, new).append(nid)
-        return _Snapshot.from_arrays(ts, coords, cells, codes)
+        return _Snapshot.from_arrays(ts, coords, xl, yl, cells, codes)
 
     @staticmethod
     def _mutable_bucket(cells: Dict[Cell, List[int]], touched: set, cell: Cell) -> List[int]:
@@ -684,5 +782,5 @@ class TopologyIndex:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"TopologyIndex(nodes={len(self._position_fns)}, {self.grid!r}, "
-            f"quantum={self.quantum:g}, snapshots={len(self._snapshots)})"
+            f"quantum={self.quantum:g}, anchored={self._anchor is not None})"
         )

@@ -1,5 +1,6 @@
 """Unit tests for mobility models."""
 
+import math
 import random
 
 import pytest
@@ -7,9 +8,12 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.geometry.field import Field
 from repro.geometry.vector import Vec2
+from repro.mobility.bank import BankTrajectory, MobilityBank
+from repro.mobility.base import DRIFT_MARGIN_M
+from repro.mobility.direction import RandomDirection
 from repro.mobility.path import WaypointPath
 from repro.mobility.static import StaticPosition
-from repro.mobility.waypoint import RandomWaypoint
+from repro.mobility.waypoint import _MIN_SPEED, RandomWaypoint
 
 
 class TestStaticPosition:
@@ -118,3 +122,100 @@ class TestRandomWaypoint:
             Field(1000, 1000), random.Random(1), 10.0, start=Vec2(500, 500)
         )
         assert m.position(0.0) == Vec2(500, 500)
+
+
+def _segment_instants(model):
+    """Every segment edge of a random model, plus the neighbouring ulps."""
+    out = []
+    for seg in model._segments:
+        for t in (seg.t_start, seg.t_end):
+            out += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+    return out
+
+
+def _assert_speed_bound(model, instants, rng, pairs=3000):
+    """``|p(t2) - p(t1)| <= speed_bound * |t2 - t1| + DRIFT_MARGIN_M``
+    over random pairs drawn from ``instants`` and consecutive ones."""
+    bound = model.speed_bound
+    assert bound is not None and bound >= 0.0
+    instants = sorted(instants)
+    checks = list(zip(instants, instants[1:]))
+    checks += [(rng.choice(instants), rng.choice(instants)) for _ in range(pairs)]
+    for t1, t2 in checks:
+        moved = model.position(t2).distance_to(model.position(t1))
+        assert moved <= bound * abs(t2 - t1) + DRIFT_MARGIN_M, (t1, t2, moved)
+
+
+class TestSpeedBound:
+    """The ``speed_bound`` contract the topology index's candidate lists
+    rely on: no trajectory drifts faster than its declared bound."""
+
+    @pytest.mark.parametrize("pause", [0.0, 3.0])
+    @pytest.mark.parametrize("max_speed", [20.0, 0.004])
+    def test_random_waypoint(self, max_speed, pause):
+        rng = random.Random(7)
+        m = RandomWaypoint(Field(1000, 1000), random.Random(3), max_speed, pause)
+        assert m.speed_bound == max(max_speed, _MIN_SPEED)
+        horizon = 400.0 if max_speed > 1 else 4e5
+        instants = [rng.uniform(-5.0, horizon) for _ in range(400)] + [-1.0, 0.0]
+        m.position(horizon)  # generate every segment the instants touch
+        _assert_speed_bound(m, instants + _segment_instants(m), rng)
+
+    def test_below_min_speed_moves_at_the_clamp(self):
+        # A U(0, 0.004) draw is always clamped up to 1 cm/s, so the bound
+        # must be the clamp, not max_speed — and it is tight.
+        m = RandomWaypoint(Field(100, 100), random.Random(5), 0.004, pause_time=0.0)
+        seg = m._segment_at(1.0)
+        assert seg.speed == pytest.approx(_MIN_SPEED)
+        assert m.speed_bound == _MIN_SPEED
+
+    @pytest.mark.parametrize("model_cls", [RandomWaypoint, RandomDirection])
+    def test_parked_terminal_has_zero_bound(self, model_cls):
+        m = model_cls(Field(1000, 1000), random.Random(2), 0.0)
+        assert m.speed_bound == 0.0
+        assert m.position(-3.0) == m.position(0.0) == m.position(1e4)
+
+    @pytest.mark.parametrize("max_speed", [15.0, 0.004])
+    def test_random_direction(self, max_speed):
+        rng = random.Random(11)
+        m = RandomDirection(Field(800, 500), random.Random(4), max_speed, 1.0)
+        assert m.speed_bound == max(max_speed, _MIN_SPEED)
+        horizon = 300.0 if max_speed > 1 else 3e5
+        instants = [rng.uniform(-5.0, horizon) for _ in range(400)] + [-2.0, 0.0]
+        m.position(horizon)
+        _assert_speed_bound(m, instants + _segment_instants(m), rng)
+
+    def test_random_direction_reaim_floor(self):
+        # In a 10 µm field a terminal sits on an edge after every leg and
+        # about half of its headings point outward, so the re-aimed leg's
+        # 1 µs travel-time floor is taken again and again.  The floor only
+        # lengthens legs: it may lower a leg's speed, never raise it.
+        rng = random.Random(13)
+        m = RandomDirection(Field(1e-5, 1e-5), random.Random(6), 20.0, 0.0)
+        m.position(2e-4)
+        floored = [
+            s for s in m._segments if not s.is_pause and s.t_end - s.t_start == pytest.approx(1e-6)
+        ]
+        assert floored, "expected re-aimed legs on the 1 µs floor"
+        instants = [rng.uniform(-1e-5, 2e-4) for _ in range(400)]
+        _assert_speed_bound(m, instants + _segment_instants(m), rng)
+
+    def test_waypoint_path_fastest_leg(self):
+        rng = random.Random(17)
+        anchors = [(0.5, Vec2(0, 0)), (2.0, Vec2(30, 40)), (2.25, Vec2(30, 50)), (9.0, Vec2(0, 0))]
+        path = WaypointPath(anchors)
+        assert path.speed_bound == pytest.approx(40.0)  # 10 m in 0.25 s
+        instants = [rng.uniform(-1.0, 12.0) for _ in range(300)]
+        for t, _ in anchors:
+            instants += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+        _assert_speed_bound(path, instants, rng)
+
+    def test_single_anchor_path_and_static(self):
+        assert WaypointPath([(1.0, Vec2(3, 4))]).speed_bound == 0.0
+        assert StaticPosition(Vec2(3, 4)).speed_bound == 0.0
+
+    def test_bank_rows_declare_no_bound(self):
+        bank = MobilityBank(1, Field(1000, 1000))
+        row = bank.adopt(0, RandomWaypoint(Field(1000, 1000), random.Random(1), 20.0))
+        assert isinstance(row, BankTrajectory)
+        assert row.speed_bound is None
