@@ -45,6 +45,10 @@ CASES = {
         ),
         **_BASE,
     ),
+    # Dense field (n = 50 on 600 m): about two thirds of the CSI-check
+    # broadcasts reach more than 16 receivers, so the per-link CSI samples
+    # of large receiver sets are pinned here, not only small ones.
+    "rica_dense": ScenarioConfig(protocol="rica", field_size_m=600.0, **_BASE),
 }
 
 
