@@ -27,8 +27,9 @@ distribution (pinned by ``tests/test_channel_vectorized.py``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,8 +60,10 @@ CHANNEL_BACKENDS = ("vectorized", "scalar")
 #: Below this neighbour count a batched query loops over the bank's
 #: scalar fast path instead: numpy's per-call dispatch overhead beats the
 #: work it saves on tiny sets (the crossover sits around 15-25 pairs).
-#: Determinism is unaffected — both paths consume the same per-pair
-#: counters.
+#: Both paths are deterministic and consume the same per-pair counters,
+#: but they are not bit-identical: the array pipeline's ``log10``,
+#: ``exp`` and Box-Muller ops round differently in the last bits, so a
+#: sample near a class threshold can land in the other class.
 SMALL_SET_CUTOFF = 16
 
 
@@ -120,6 +123,7 @@ class ChannelModel:
         self.backend = backend
         self._fading: Dict[Tuple[int, int], CompositeFadingProcess] = {}
         self._bank: Optional[FadingBank] = None
+        self._sample_pair: Callable[[int, int, float], float] = self._process_sample
         if backend == "vectorized":
             self._bank = FadingBank(
                 derive_seed(streams.seed, "channel/bank"),
@@ -128,6 +132,10 @@ class ChannelModel:
                 fast_sigma_db=config.fast_sigma_db,
                 fast_tau_s=config.fast_tau_s,
             )
+            self._sample_pair = self._bank.sample_pair
+        # Bound once: the single-pair body runs for every sampled link.
+        self._mean_snr_db = config.path_loss.mean_snr_db
+        self._classify = config.thresholds.classify
         # Memoised per-class lookups: IntEnum (or raw class value) indexes
         # a tuple, replacing dict hashing on the per-sample fast path.
         self._hop_by_class: Tuple[float, ...] = HOP_DISTANCE_BY_INDEX
@@ -179,32 +187,52 @@ class ChannelModel:
     def snr_db(self, a: int, b: int, t: float) -> float:
         """Instantaneous SNR (dB) of the a<->b channel at time ``t``."""
         self.samples_taken += 1
-        mean = self._config.path_loss.mean_snr_db(self.distance(a, b, t))
-        if self._bank is not None:
-            return mean + self._bank.sample_pair(a, b, t)
-        return mean + self._fading_process(a, b).sample(t)
+        mean = self._mean_snr_db(self.distance(a, b, t))
+        return mean + self._sample_pair(a, b, t)
+
+    def _pair_state(self, a: int, b: int, t: float) -> ChannelClass:
+        """The single-pair body every per-link query shares: two position
+        lookups, the distance, the mean SNR, one fading draw, classify."""
+        pos = self._position_fn
+        pa = pos(a, t)
+        pb = pos(b, t)
+        self.samples_taken += 1
+        mean = self._mean_snr_db(math.hypot(pa[0] - pb[0], pa[1] - pb[1]))
+        return self._classify(mean + self._sample_pair(a, b, t))
 
     def state(self, a: int, b: int, t: float) -> ChannelClass:
         """CSI class of the a<->b channel at time ``t``."""
-        return self._config.thresholds.classify(self.snr_db(a, b, t))
+        return self._pair_state(a, b, t)
 
     def throughput_bps(self, a: int, b: int, t: float) -> float:
         """Effective throughput (bps) after adaptive coding/modulation."""
-        return self._rate_by_class[self.state(a, b, t)]
+        return self._rate_by_class[self._pair_state(a, b, t)]
 
     def csi_hop_distance(self, a: int, b: int, t: float) -> float:
         """CSI-based hop distance of the a<->b link at time ``t``."""
-        return self._hop_by_class[self.state(a, b, t)]
+        return self._hop_by_class[self._pair_state(a, b, t)]
 
     def link_metrics(self, a: int, b: int, t: float) -> Tuple[float, float]:
         """One channel sample serving both routing accumulators:
         ``(csi_hop_distance, throughput_bps)`` of the a<->b link."""
-        cls = self.state(a, b, t)
+        cls = self._pair_state(a, b, t)
         return self._hop_by_class[cls], self._rate_by_class[cls]
 
     def transmission_time(self, a: int, b: int, t: float, bits: int) -> float:
         """Seconds to transmit ``bits`` over the a<->b data channel at ``t``."""
-        return self._config.abicm.transmission_time(self.state(a, b, t), bits)
+        return self._config.abicm.transmission_time(self._pair_state(a, b, t), bits)
+
+    def link_hop_distances(self, a: int, others: Sequence[int], t: float) -> List[float]:
+        """CSI hop distances of the a<->b links for ``b`` in ``others``,
+        in order: ``[self.csi_hop_distance(a, b, t) for b in others]``.
+
+        Every link takes the single-pair formula, whatever the set size,
+        so each value is bit-identical to a per-pair query; only ``a``'s
+        position is fetched once.  This is the receiver side of one
+        broadcast: every receiver samples the link the packet arrived on.
+        """
+        hop = self._hop_by_class
+        return [hop[s] for s in self._pair_states_from(a, others, t)]
 
     # ------------------------------------------------------------------
     # Batched lookups (one array pipeline for a whole neighbour set)
@@ -226,18 +254,23 @@ class ChannelModel:
         self.samples_taken += len(others)
         return snr
 
-    def _small_states(self, a: int, others: Sequence[int], t: float) -> Dict[int, ChannelClass]:
-        """Tiny-set path: the bank's scalar samples, one origin fetch."""
-        origin = self._position_fn(a, t)
-        pfn = self._position_fn
-        mean = self._config.path_loss.mean_snr_db
-        classify = self._config.thresholds.classify
-        sample = self._bank.sample_pair
-        self.samples_taken += len(others)
-        return {
-            b: classify(mean(origin.distance_to(pfn(b, t))) + sample(a, b, t))
-            for b in others
-        }
+    def _pair_states_from(self, a: int, others: Sequence[int], t: float) -> List[ChannelClass]:
+        """:meth:`_pair_state` of every a<->b pair, ``a`` fetched once."""
+        if not others:
+            return []
+        pos = self._position_fn
+        ax, ay = pos(a, t)
+        mean = self._mean_snr_db
+        classify = self._classify
+        sample = self._sample_pair
+        hypot = math.hypot
+        out = []
+        append = out.append
+        for b in others:
+            pb = pos(b, t)
+            append(classify(mean(hypot(ax - pb[0], ay - pb[1])) + sample(a, b, t)))
+        self.samples_taken += len(out)
+        return out
 
     def states(self, a: int, others: Sequence[int], t: float) -> Dict[int, ChannelClass]:
         """CSI classes of every a<->b channel for ``b`` in ``others``.
@@ -248,32 +281,18 @@ class ChannelModel:
         past :data:`SMALL_SET_CUTOFF` (tiny sets loop over the scalar
         fast path, which is cheaper than numpy dispatch).
         """
-        if self._bank is not None:
-            if not others:
-                return {}
-            if len(others) <= SMALL_SET_CUTOFF:
-                return self._small_states(a, others, t)
+        if self._bank is not None and len(others) > SMALL_SET_CUTOFF:
             idx = self._config.thresholds.classify_indices(self._batch_snr(a, others, t))
             classes = CLASS_BY_INDEX
             return {b: classes[i] for b, i in zip(others, idx.tolist())}
-        origin = self._position_fn(a, t)
-        classify = self._config.thresholds.classify
-        result = {b: classify(self._snr_db_from(origin, a, b, t)) for b in others}
-        self.samples_taken += len(result)
-        return result
+        return dict(zip(others, self._pair_states_from(a, others, t)))
 
     def csi_hop_distances(self, a: int, others: Sequence[int], t: float) -> Dict[int, float]:
         """CSI hop distances of every a<->b link for ``b`` in ``others``."""
-        if self._bank is not None:
-            if not others:
-                return {}
-            if len(others) <= SMALL_SET_CUTOFF:
-                hop = self._hop_by_class
-                return {b: hop[s] for b, s in self._small_states(a, others, t).items()}
+        if self._bank is not None and len(others) > SMALL_SET_CUTOFF:
             idx = self._config.thresholds.classify_indices(self._batch_snr(a, others, t))
             return dict(zip(others, self._hop_array[idx].tolist()))
-        hop = self._hop_by_class
-        return {b: hop[s] for b, s in self.states(a, others, t).items()}
+        return dict(zip(others, self.link_hop_distances(a, others, t)))
 
     def csi_hop_map(
         self, adjacency: Dict[int, Sequence[int]], t: float
@@ -332,13 +351,9 @@ class ChannelModel:
     # ------------------------------------------------------------------
     # Scalar-backend internals
     # ------------------------------------------------------------------
-    def _snr_db_from(self, origin: Vec2, a: int, b: int, t: float) -> float:
-        """SNR with the origin position precomputed (shared by the scalar
-        batched lookup, which fetches it once per neighbour set)."""
-        mean = self._config.path_loss.mean_snr_db(
-            origin.distance_to(self._position_fn(b, t))
-        )
-        return mean + self._fading_process(a, b).sample(t)
+    def _process_sample(self, a: int, b: int, t: float) -> float:
+        """The scalar backend's single-pair fading draw."""
+        return self._fading_process(a, b).sample(t)
 
     def _fading_process(self, a: int, b: int) -> CompositeFadingProcess:
         key = (a, b) if a < b else (b, a)

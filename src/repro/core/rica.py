@@ -174,11 +174,50 @@ class RicaProtocol(OnDemandProtocol):
     # ------------------------------------------------------------------
     # Relay side: rebroadcast once, remember the best downstream pointer
     # ------------------------------------------------------------------
-    def on_csi_check(self, check: CsiCheck, from_id: int) -> None:
+    @classmethod
+    def group_receiver(cls, packet_cls: type):
+        """Checking packets are taken a broadcast at a time."""
+        return cls.receive_checks if issubclass(packet_cls, CsiCheck) else None
+
+    @staticmethod
+    def receive_checks(check: CsiCheck, from_id: int, protocols: List["RicaProtocol"]) -> None:
+        """One checking broadcast heard by ``protocols`` (delivery order).
+
+        Every receiver but the broadcasting destination samples the CSI
+        of the link the copy arrived on; those links are sampled in one
+        channel pass (one fetch of the sender's position), then each
+        receiver does its own bookkeeping.  Links are independent and all
+        sampled at the same instant, so this equals the per-receiver
+        sequence sample by sample.
+        """
+        if not protocols:
+            return
+        flow_dst = check.flow_dst
+        first = protocols[0]
+        links = iter(
+            first.channel.link_hop_distances(
+                from_id,
+                [p.node.id for p in protocols if p.node.id != flow_dst],
+                first.sim.now,
+            )
+        )
+        for p in protocols:
+            p.on_csi_check(check, from_id, None if p.node.id == flow_dst else next(links))
+
+    def on_csi_check(
+        self, check: CsiCheck, from_id: int, link_csi: Optional[float] = None
+    ) -> None:
+        """A checking packet arrived over the link from ``from_id``.
+
+        ``link_csi`` is that link's CSI hop distance, sampled by
+        :meth:`receive_checks`; a packet delivered on its own (None)
+        takes the same channel pass with this one receiver.
+        """
         if check.flow_dst == self.node.id:
             return  # our own broadcast echoed back
         now = self.sim.now
-        link_csi = self.channel.csi_hop_distance(from_id, self.node.id, now)
+        if link_csi is None:
+            link_csi = self.channel.link_hop_distances(from_id, [self.node.id], now)[0]
         csi_here = check.csi_distance + link_csi
         hops_here = check.hops + 1
         dkey = (check.flow_dst, check.bcast_id)

@@ -22,18 +22,12 @@ terminals touch edges often but never leave ``[0, width] x [0, height]``.
 from __future__ import annotations
 
 import math
-import random
-from typing import List
 
-from repro.errors import ConfigurationError
 from repro.geometry.field import Field
 from repro.geometry.vector import Vec2
-from repro.mobility.base import MobilityModel
-from repro.mobility.waypoint import Segment
+from repro.mobility.waypoint import _MIN_SPEED, LegTrajectory, Segment
 
 __all__ = ["RandomDirection", "boundary_hit"]
-
-_MIN_SPEED = 0.01
 
 
 def boundary_hit(field: Field, origin: Vec2, heading: float) -> Vec2:
@@ -60,90 +54,15 @@ def boundary_hit(field: Field, origin: Vec2, heading: float) -> Vec2:
     return field.clamp(Vec2(origin.x + dx * best, origin.y + dy * best))
 
 
-class RandomDirection(MobilityModel):
+class RandomDirection(LegTrajectory):
     """Travel on a uniform heading to the boundary, pause, repeat.
 
     See the module docstring for the exact boundary-handling rule.  Speeds
     are ``uniform(0, max_speed)`` clamped to ``_MIN_SPEED`` for the same
-    speed-decay reason documented on :class:`RandomWaypoint`.
+    speed-decay reason documented on :class:`RandomWaypoint`.  The
+    :attr:`speed_bound` is the waypoint model's: the 1 µs re-aim floor
+    only lengthens a leg, so it can only lower that leg's speed.
     """
-
-    def __init__(
-        self,
-        field: Field,
-        rng: random.Random,
-        max_speed: float,
-        pause_time: float = 3.0,
-        start: Vec2 = None,
-    ) -> None:
-        if max_speed < 0:
-            raise ConfigurationError(f"max_speed must be >= 0, got {max_speed}")
-        if pause_time < 0:
-            raise ConfigurationError(f"pause_time must be >= 0, got {pause_time}")
-        self._field = field
-        self._rng = rng
-        self._max_speed = float(max_speed)
-        self._pause = float(pause_time)
-        origin = start if start is not None else field.random_point(rng)
-        self._segments: List[Segment] = [Segment(0.0, 0.0, origin, origin)]
-
-    @property
-    def max_speed(self) -> float:
-        """Configured maximum speed in m/s."""
-        return self._max_speed
-
-    @property
-    def pause_time(self) -> float:
-        """Configured pause at each boundary hit in seconds."""
-        return self._pause
-
-    @property
-    def speed_bound(self) -> float:
-        """As for :class:`RandomWaypoint`; the 1 µs re-aim floor only
-        lengthens a leg, so it can only lower that leg's speed."""
-        if self._max_speed <= 0.0:
-            return 0.0
-        return max(self._max_speed, _MIN_SPEED)
-
-    @property
-    def origin(self) -> Vec2:
-        """Position at t = 0 (the initial zero-length pause's anchor)."""
-        return self._segments[0].a
-
-    def position(self, t: float) -> Vec2:
-        if t < 0:
-            t = 0.0
-        self._extend_to(t)
-        # Linear scan from the back: queries are usually near the frontier.
-        for seg in reversed(self._segments):
-            if seg.t_start <= t:
-                if seg.t_end <= seg.t_start:
-                    return seg.a
-                return seg.position(min(t, seg.t_end))
-        return self._segments[0].a  # pragma: no cover - defensive
-
-    def speed_at(self, t: float) -> float:
-        """Speed at ``t``; 0 during pauses and for parked terminals.
-
-        Like :meth:`RandomWaypoint.speed_at`, the trajectory only *ends*
-        when ``max_speed == 0``; then (and during pauses) the scan finds no
-        covering ``[t_start, t_end)`` interval and 0.0 is reported.
-        """
-        if t < 0:
-            t = 0.0
-        self._extend_to(t)
-        for seg in reversed(self._segments):
-            if seg.t_start <= t < seg.t_end:
-                return seg.speed
-        return 0.0
-
-    def _extend_to(self, t: float) -> None:
-        if self._max_speed <= 0:
-            return
-        last = self._segments[-1]
-        while last.t_end <= t:
-            last = self._next_segment(last)
-            self._segments.append(last)
 
     def _next_segment(self, last: Segment) -> Segment:
         if not last.is_pause:

@@ -5,24 +5,26 @@ to it in a straight line at a speed drawn uniformly from ``(0, max_speed]``,
 pause for ``pause_time`` seconds (3 s in the paper), pick again.
 
 Positions are *exact*: the trajectory is a lazily-extended list of linear
-segments, and :meth:`RandomWaypoint.position` evaluates the segment covering
-``t`` in closed form.  Segments are generated deterministically from the
-model's private random stream, so out-of-order queries return identical
-results.
+segments, and :meth:`LegTrajectory.position` evaluates the segment covering
+``t`` in closed form (remembering the last covering leg, so in-order
+queries skip the lookup).  Segments are generated deterministically from
+the model's private random stream, so out-of-order queries return
+identical results.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.geometry.field import Field
-from repro.geometry.vector import Vec2
+from repro.geometry.vector import Vec2, vec2_of
 from repro.mobility.base import MobilityModel
 
-__all__ = ["RandomWaypoint", "Segment"]
+__all__ = ["LegTrajectory", "RandomWaypoint", "Segment"]
 
 # Never draw a speed below this (m/s): the classic random-waypoint pitfall
 # of near-zero speeds producing quasi-infinite segments.
@@ -75,25 +77,24 @@ class Segment:
         return self.a.distance_to(self.b) / (self.t_end - self.t_start)
 
 
-class RandomWaypoint(MobilityModel):
-    """The random-waypoint model with uniform speeds and fixed pauses.
+class LegTrajectory(MobilityModel):
+    """A random trajectory stored as a lazily extended list of segments.
 
-    Speeds are drawn ``uniform(0, max_speed)`` and then clamped from below
-    to ``_MIN_SPEED`` (0.01 m/s).  The clamp exists because the unclamped
-    model is ill-posed: a draw arbitrarily close to 0 produces a travel
-    segment of arbitrarily long duration, so mean speed decays over time
-    and a single unlucky draw can pin a terminal mid-flight for the whole
-    run (the "speed decay" pathology of naive random waypoint).  Clamping
-    at 1 cm/s bounds segment duration without measurably distorting the
-    paper's MAXSPEED ∈ [1, 20] m/s operating range.
+    The shared machinery of :class:`RandomWaypoint` and
+    :class:`~repro.mobility.direction.RandomDirection`: configuration,
+    on-demand extension and the segment lookup.  Subclasses supply
+    :meth:`_next_segment` (the leg after ``last``).
 
-    Args:
-        field: the field to roam.
-        rng: private random stream for this terminal.
-        max_speed: MAXSPEED in m/s; speeds are ~ U(0, max_speed].  A value
-            of 0 degenerates to a static terminal at the start position.
-        pause_time: pause at each waypoint, seconds (paper: 3 s).
-        start: optional start position; defaults to a uniform random point.
+    **The covering leg.**  Queries arrive in (mostly) non-decreasing time,
+    and one leg lasts seconds while the simulator asks many times per
+    millisecond, so the model remembers the leg of positive length that
+    answered the last query as ``(t_start, t_end, span, ax, ay, dx, dy)``.
+    A query with ``t_start <= t < t_end`` is then one comparison plus the
+    anchor-form lerp ``a + (b - a) * frac`` of :meth:`Segment.position`,
+    operation for operation, so it returns the same floats.  That leg is
+    the one the bisect would find: legs are contiguous, so the next one
+    starts at ``t_end > t``.  Any other query (out of order, past the
+    leg, t < 0, a zero-length segment) falls back to the bisect.
     """
 
     def __init__(
@@ -115,15 +116,22 @@ class RandomWaypoint(MobilityModel):
         origin = start if start is not None else field.random_point(rng)
         self._segments: List[Segment] = [Segment(0.0, 0.0, origin, origin)]
         self._starts: List[float] = [0.0]  # parallel array for bisect
+        # The covering leg (see the class docstring); empty until a query
+        # lands on a leg of positive length.
+        self._leg: Tuple[float, ...] = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        if self._max_speed <= 0.0:
+            # A parked terminal holds its origin for all t >= 0: one leg
+            # with offset b - a = -0.0, so a + (b - a) * frac is a.
+            self._leg = (0.0, math.inf, 1.0, origin.x, origin.y, -0.0, -0.0)
 
     @property
     def max_speed(self) -> float:
-        """Configured MAXSPEED in m/s."""
+        """Configured maximum speed in m/s."""
         return self._max_speed
 
     @property
     def pause_time(self) -> float:
-        """Configured pause at each waypoint in seconds."""
+        """Configured pause at the end of each leg in seconds."""
         return self._pause
 
     @property
@@ -140,12 +148,24 @@ class RandomWaypoint(MobilityModel):
         return self._segments[0].a
 
     def position(self, t: float) -> Vec2:
-        if t < 0:
-            t = 0.0
+        t0, t1, span, ax, ay, dx, dy = self._leg
+        if t0 <= t < t1:
+            frac = (t - t0) / span
+            return vec2_of((ax + dx * frac, ay + dy * frac))
         seg = self._segment_at(t)
-        if seg.t_end <= seg.t_start:
+        t0 = seg.t_start
+        t1 = seg.t_end
+        if t1 <= t0:
             return seg.a
-        return seg.position(min(max(t, seg.t_start), seg.t_end))
+        a = seg.a
+        b = seg.b
+        span = t1 - t0
+        dx = b.x - a.x
+        dy = b.y - a.y
+        self._leg = (t0, t1, span, a.x, a.y, dx, dy)
+        # The found leg covers max(t, 0): the bisect clamps t < 0 to 0.
+        frac = (max(t, 0.0) - t0) / span
+        return vec2_of((a.x + dx * frac, a.y + dy * frac))
 
     def speed_at(self, t: float) -> float:
         """Speed at ``t``, with *held-frontier* end-of-trajectory semantics.
@@ -153,16 +173,16 @@ class RandomWaypoint(MobilityModel):
         ``max_speed == 0`` is the only way the trajectory ends: the initial
         zero-length pause stays the last segment forever, and any query at
         or past its ``t_end`` reports 0.0 (the terminal is parked).  For a
-        moving terminal the trajectory is extended on demand, so the "past
-        the last segment" branch is unreachable and every instant reports
-        the covering segment's speed (0 during pauses).
+        moving terminal the trajectory is extended on demand, so every
+        instant reports the covering segment's speed (0 during pauses).
         """
+        if t < 0:
+            t = 0.0
         seg = self._segment_at(t)
-        if t >= seg.t_end and seg is self._segments[-1]:
-            return 0.0
-        return seg.speed
+        return seg.speed if t < seg.t_end else 0.0
 
     def _segment_at(self, t: float) -> Segment:
+        """The last segment starting at or before ``max(t, 0)``."""
         if t < 0:
             t = 0.0
         self._extend_to(t)
@@ -180,6 +200,38 @@ class RandomWaypoint(MobilityModel):
             self._starts.append(last.t_start)
 
     def _next_segment(self, last: Segment) -> Segment:
+        """The segment following ``last`` (draws from the private stream)."""
+        raise NotImplementedError
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (
+            f"{type(self).__name__}(max_speed={self._max_speed:.1f} m/s, "
+            f"pause={self._pause:.1f}s, segments={len(self._segments)})"
+        )
+
+
+class RandomWaypoint(LegTrajectory):
+    """The random-waypoint model with uniform speeds and fixed pauses.
+
+    Speeds are drawn ``uniform(0, max_speed)`` and then clamped from below
+    to ``_MIN_SPEED`` (0.01 m/s).  The clamp exists because the unclamped
+    model is ill-posed: a draw arbitrarily close to 0 produces a travel
+    segment of arbitrarily long duration, so mean speed decays over time
+    and a single unlucky draw can pin a terminal mid-flight for the whole
+    run (the "speed decay" pathology of naive random waypoint).  Clamping
+    at 1 cm/s bounds segment duration without measurably distorting the
+    paper's MAXSPEED ∈ [1, 20] m/s operating range.
+
+    Args:
+        field: the field to roam.
+        rng: private random stream for this terminal.
+        max_speed: MAXSPEED in m/s; speeds are ~ U(0, max_speed].  A value
+            of 0 degenerates to a static terminal at the start position.
+        pause_time: pause at each waypoint, seconds (paper: 3 s).
+        start: optional start position; defaults to a uniform random point.
+    """
+
+    def _next_segment(self, last: Segment) -> Segment:
         if last.is_pause:
             # Depart: choose destination and speed.
             dest = self._field.random_point(self._rng)
@@ -189,9 +241,3 @@ class RandomWaypoint(MobilityModel):
         # Arrive: pause at the waypoint.  A zero pause still inserts an
         # instantaneous segment so the move/pause alternation is uniform.
         return Segment(last.t_end, last.t_end + self._pause, last.b, last.b)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"RandomWaypoint(max_speed={self._max_speed:.1f} m/s, "
-            f"pause={self._pause:.1f}s, segments={len(self._segments)})"
-        )

@@ -24,12 +24,15 @@ batch is dispatched (and is invalidated when nodes are added), so tests
 and tools that stub a node's handler before the simulation starts are
 still honoured, while steady-state dispatch costs one dict lookup and one
 call per reception instead of a facade-method / node-lookup / attribute
-chain.
+chain.  A routing protocol may also take a packet class a whole broadcast
+at a time (its ``group_receiver``): one call with every surviving
+receiver's protocol instance, in delivery order, so work shared by the
+receivers (one channel pass over the sender's links) is done once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.channel.model import ChannelConfig, ChannelModel
 from repro.errors import ConfigurationError, TopologyError
@@ -50,6 +53,9 @@ from repro.sim.timers import TimerWheel
 from repro.topology import TopologyIndex
 
 __all__ = ["Network"]
+
+#: A resolved group receiver: the function and ``node_id -> protocol``.
+_Group = Tuple[Callable[..., None], Dict[int, object]]
 
 
 class Network:
@@ -79,12 +85,13 @@ class Network:
             radius=channel_config.path_loss.tx_range,
             quantum=position_epoch_s,
         )
-        # The channel reaches the topology index directly so neighbour-set
-        # CSI queries can gather candidate positions as one array batch.
+        # The channel reaches the topology index directly: point lookups
+        # skip the position() facade, and neighbour-set CSI queries gather
+        # candidate positions as one array batch.
         self.channel = ChannelModel(
             channel_config,
             streams,
-            self.position,
+            self.topology.position,
             backend=channel_backend,
             topology=self.topology,
         )
@@ -138,6 +145,9 @@ class Network:
         # receive_control); built lazily on first batch dispatch so
         # handlers stubbed after construction are captured.
         self._control_handlers: Optional[Dict[int, Callable]] = None
+        # Packet class -> its group receiver (None: per-receiver dispatch),
+        # resolved on first use and dropped with the handler table.
+        self._groups: Dict[type, Optional[_Group]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -179,7 +189,8 @@ class Network:
             alive=self.is_alive,
         )
         self._nodes[nid] = node
-        self.topology.add(nid, node.position, speed_bound=mobility.speed_bound)
+        # The index evaluates the trajectory itself (no Node frame between).
+        self.topology.add(nid, mobility.position, speed_bound=mobility.speed_bound)
         self._control_handlers = None  # membership changed: rebuild on next batch
         return node
 
@@ -281,9 +292,10 @@ class Network:
     def invalidate_dispatch(self) -> None:
         """Force the control-handler table to rebuild on the next batch.
 
-        Call after replacing a node's ``receive_control`` handler once the
-        simulation is already dispatching (rare; tests and tools that stub
-        handlers before the first transmission never need it).
+        Call after replacing a node's ``receive_control`` handler or its
+        routing protocol once the simulation is already dispatching (rare;
+        tests and tools that stub handlers before the first transmission
+        never need it).
         """
         self._control_handlers = None
 
@@ -294,7 +306,26 @@ class Network:
             if nid not in self._down
         }
         self._control_handlers = handlers
+        self._groups = {}
         return handlers
+
+    def _resolve_group(self, packet_cls: type) -> Optional[_Group]:
+        """The group receiver for ``packet_cls``, or None.
+
+        Only offered when every live node runs the same routing class
+        through its own ``receive_control``: a stubbed handler must see
+        every packet, and a mixed network has no single receiver.
+        """
+        live = [node for nid, node in self._nodes.items() if nid not in self._down]
+        group = None
+        classes = {type(node.routing) for node in live}
+        if len(classes) == 1 and not any("receive_control" in vars(node) for node in live):
+            offer = getattr(classes.pop(), "group_receiver", None)
+            receive = offer(packet_cls) if offer is not None else None
+            if receive is not None:
+                group = (receive, {node.id: node.routing for node in live})
+        self._groups[packet_cls] = group
+        return group
 
     def deliver_control_batch(self, batch: ReceptionBatch) -> None:
         """Deliver one resolved broadcast to every surviving receiver.
@@ -302,7 +333,9 @@ class Network:
         Receivers are visited in the order the MAC resolved them (the
         topology index returns neighbours ascending by id), so handler
         side effects — scheduled events, queued transmissions — happen in
-        the same deterministic order as per-receiver dispatch did.
+        the same deterministic order as per-receiver dispatch did.  A
+        packet class with a group receiver goes to it in one call, with
+        the same receivers in the same order.
         """
         handlers = self._control_handlers
         if handlers is None:
@@ -310,6 +343,21 @@ class Network:
         packet = batch.packet
         sender = batch.sender
         lost = batch.lost
+        packet_cls = type(packet)
+        group = (
+            self._groups[packet_cls]
+            if packet_cls in self._groups
+            else self._resolve_group(packet_cls)
+        )
+        if group is not None:
+            receive, protocol_of = group
+            get = protocol_of.get
+            receive(
+                packet,
+                sender,
+                [p for r in batch.receivers if r not in lost and (p := get(r)) is not None],
+            )
+            return
         for receiver in batch.receivers:
             if receiver not in lost:
                 # .get: a receiver resolved into the batch can be absent

@@ -32,22 +32,11 @@ class Node:
         self.mac: Optional[CsmaMac] = None  # set by Network
         self.datalink: Optional[DataLink] = None  # set by Network
         self.routing: Optional["RoutingProtocol"] = None  # set by attach_routing
-        # One-entry memo: range/collision checks query many pairs at the
-        # same instant, and trajectory evaluation is the simulator's
-        # hottest path.  Correct because trajectories are pure functions
-        # of time.
-        self._pos_t = -1.0
-        self._pos_v: Optional[Vec2] = None
 
     # ------------------------------------------------------------------
     def position(self, t: float) -> Vec2:
         """Exact position at simulation time ``t``."""
-        if t == self._pos_t:
-            return self._pos_v
-        value = self.mobility.position(t)
-        self._pos_t = t
-        self._pos_v = value
-        return value
+        return self.mobility.position(t)
 
     # ------------------------------------------------------------------
     def attach_routing(self, protocol: "RoutingProtocol") -> None:

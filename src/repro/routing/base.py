@@ -25,7 +25,7 @@ CSI checking, link monitoring).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.metrics.collector import DropReason, MetricsCollector
@@ -203,9 +203,24 @@ class RoutingProtocol:
         if packet.unicast_to is not None and packet.unicast_to != self.node.id:
             self.overhear(packet, from_id)
             return
-        handler = getattr(self, f"on_{packet.kind}", None)
+        handler = getattr(self, packet.handler, None)
         if handler is not None:
             handler(packet, from_id)
+
+    @classmethod
+    def group_receiver(
+        cls, packet_cls: type
+    ) -> Optional[Callable[[ControlPacket, int, List["RoutingProtocol"]], None]]:
+        """How this class takes a whole broadcast of ``packet_cls``, or None.
+
+        A returned ``receive(packet, from_id, protocols)`` is called once
+        per broadcast, with the receiving instances in delivery order, in
+        place of one :meth:`handle_control` per receiver (see
+        :meth:`repro.net.network.Network.deliver_control_batch`).  It must
+        leave the same effects the per-receiver calls would.  Default:
+        None for every class.
+        """
+        return None
 
     def broadcast_control(self, packet: ControlPacket) -> bool:
         """Send a routing packet on the common channel."""

@@ -43,7 +43,15 @@ class ControlPacket(Packet):
     __slots__ = ("unicast_to",)
 
     kind = "control"
+    #: Name of the :class:`~repro.routing.base.RoutingProtocol` method that
+    #: receives this class, ``on_<kind>``; set once per class, so dispatch
+    #: formats no string per reception.
+    handler = "on_control"
     SIZE_BYTES = 16
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.handler = f"on_{cls.kind}"
 
     def __init__(self, created_at: float, unicast_to: Optional[int] = None) -> None:
         super().__init__(self.SIZE_BYTES, created_at)

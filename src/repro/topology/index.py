@@ -42,7 +42,7 @@ import numpy as np
 from repro.errors import ConfigurationError, TopologyError
 from repro.geometry.field import Field
 from repro.geometry.grid import Cell, UniformGrid
-from repro.geometry.vector import Vec2
+from repro.geometry.vector import Vec2, vec2_of
 from repro.mobility.base import DRIFT_MARGIN_M
 
 __all__ = ["TopologyIndex"]
@@ -326,21 +326,29 @@ class TopologyIndex:
         Uses the cached snapshot for ``snap(t)`` if one exists; otherwise
         evaluates the node's trajectory directly — a pairwise channel or
         carrier-sense probe at an off-epoch instant must not trigger an
-        O(n) resample of the whole field.
+        O(n) resample of the whole field.  The channel calls this for both
+        ends of every sampled link, so it is written as one frame: ``snap``
+        and ``_lookup`` are inlined.
         """
-        ts = self.snap(t)
+        quantum = self.quantum
+        if quantum > 0.0:
+            t = math.floor(t / quantum) * quantum
         snapshot = self._latest
-        if snapshot is not None and snapshot.time == ts:
+        if snapshot is not None and snapshot.time == t:
             xl = snapshot.xl
             if xl is not None:
                 if 0 <= node_id < len(xl):
-                    return Vec2(xl[node_id], snapshot.yl[node_id])
+                    return vec2_of((xl[node_id], snapshot.yl[node_id]))
                 raise TopologyError(f"unknown node id {node_id}")
             try:
                 return snapshot.positions[node_id]
             except KeyError:
                 raise TopologyError(f"unknown node id {node_id}") from None
-        return self._lookup(node_id)(ts)
+        try:
+            fn = self._position_fns[node_id]
+        except KeyError:
+            raise TopologyError(f"unknown node id {node_id}") from None
+        return fn(t)
 
     def distance(self, a: int, b: int, t: float) -> float:
         """Distance in metres between ``a`` and ``b`` at ``t``."""

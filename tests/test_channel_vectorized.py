@@ -351,6 +351,53 @@ class TestPipelineEquivalence:
         assert bw == m2.config.abicm.throughput(cls)
 
 
+class TestLinkPass:
+    """``link_hop_distances`` is the single-pair query over a set: the
+    same values, the same draws and the same bank state as one
+    ``csi_hop_distance`` per link, whatever the set size."""
+
+    def make_pair(self, backend, seed=23):
+        def one():
+            model, _, _ = TestPipelineEquivalence().make_model(
+                n=40, backend=backend, seed=seed
+            )
+            # Shared history: earlier samples of some of the links, one
+            # of them through the array pipeline.
+            model.csi_hop_distances(0, list(range(1, 30)), 0.5)
+            model.csi_hop_distance(0, 3, 1.0)
+            return model
+
+        return one(), one()
+
+    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
+    @pytest.mark.parametrize("size", [1, 5, 16, 17, 39])
+    def test_matches_per_pair_queries(self, backend, size):
+        passed, per_pair = self.make_pair(backend)
+        others = list(range(39, 39 - size, -1))
+        for t in (1.0, 1.0, 2.75):
+            got = passed.link_hop_distances(0, others, t)
+            assert got == [per_pair.csi_hop_distance(0, b, t) for b in others]
+        assert passed.samples_taken == per_pair.samples_taken
+        if backend == "vectorized":
+            bank_a, bank_b = passed._bank, per_pair._bank
+            assert bank_a.draws == bank_b.draws
+            assert bank_a._row_of == bank_b._row_of
+            n = bank_a.pair_count
+            assert np.array_equal(bank_a._ctr[:n], bank_b._ctr[:n])
+            assert np.array_equal(bank_a._x[:, :n], bank_b._x[:, :n])
+            assert np.array_equal(bank_a._t[:n], bank_b._t[:n])
+        # Both continue identically.
+        assert [passed.csi_hop_distance(0, b, 4.0) for b in range(1, 40)] == [
+            per_pair.csi_hop_distance(0, b, 4.0) for b in range(1, 40)
+        ]
+
+    def test_empty_set_samples_nothing(self):
+        model, _ = self.make_pair("vectorized")
+        draws = model._bank.draws
+        assert model.link_hop_distances(0, [], 3.0) == []
+        assert model._bank.draws == draws
+
+
 class TestTopologyBatchedQueries:
     def test_distances_from_matches_pointwise(self):
         positions = make_positions(60)

@@ -2,8 +2,11 @@
 
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.geometry.field import Field
@@ -219,3 +222,62 @@ class TestSpeedBound:
         row = bank.adopt(0, RandomWaypoint(Field(1000, 1000), random.Random(1), 20.0))
         assert isinstance(row, BankTrajectory)
         assert row.speed_bound is None
+
+
+def _bits(p):
+    return struct.pack("<2d", p[0], p[1])
+
+
+def _bisect_position(model, t):
+    """The position without the covering leg: the bisect-found segment's
+    :meth:`Segment.position`, as both random models evaluated it before."""
+    if t < 0:
+        t = 0.0
+    seg = model._segment_at(t)
+    if seg.t_end <= seg.t_start:
+        return seg.a
+    return seg.position(min(max(t, seg.t_start), seg.t_end))
+
+
+class TestCoveringLeg:
+    """The remembered leg answers with the bisect's floats, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model_cls=st.sampled_from([RandomWaypoint, RandomDirection]),
+        seed=st.integers(0, 2**16),
+        max_speed=st.sampled_from([0.0, 0.004, 2.0, 20.0]),
+        pause=st.sampled_from([0.0, 0.5, 3.0]),
+        data=st.data(),
+    )
+    def test_matches_bisect_bit_for_bit(self, model_cls, seed, max_speed, pause, data):
+        field = Field(300, 200)
+        cached = model_cls(field, random.Random(seed), max_speed, pause)
+        reference = model_cls(field, random.Random(seed), max_speed, pause)
+        horizon = 80.0
+        reference.position(horizon)  # generate every leg the instants touch
+        edges = _segment_instants(reference)  # leg edges and their ± 1 ulp
+        instant = st.one_of(
+            st.floats(-5.0, horizon + 5.0, allow_nan=False),
+            st.sampled_from(edges),
+            st.sampled_from([-1.0, -0.0, 0.0]),
+        )
+        instants = data.draw(st.lists(instant, min_size=1, max_size=60))
+        # As drawn (out of order), then sorted: runs within one leg.
+        for t in instants + sorted(instants):
+            assert _bits(cached.position(t)) == _bits(_bisect_position(reference, t)), t
+
+    @pytest.mark.parametrize("model_cls", [RandomWaypoint, RandomDirection])
+    def test_in_order_queries_skip_the_lookup(self, model_cls):
+        m = model_cls(Field(1000, 1000), random.Random(8), 20.0, 3.0)
+        lookups = []
+        find = m._segment_at
+        m._segment_at = lambda t: lookups.append(t) or find(t)
+        instants = [i * 0.01 for i in range(20000)]
+        for t in instants:
+            m.position(t)
+        legs = {id(find(t)) for t in instants}
+        # One lookup per leg entered (zero-length pauses answer from the
+        # lookup), not one per query.
+        assert len(lookups) <= 2 * len(legs)
+        assert len(lookups) < len(instants) / 100

@@ -17,6 +17,14 @@ class TestNode:
         node = Node(3, StaticPosition(Vec2(10, 20)))
         assert node.position(5.0) == Vec2(10, 20)
 
+    def test_first_query_at_minus_one(self):
+        # Regression: a one-entry memo seeded with t = -1.0 and no value
+        # answered a node's first query at t = -1.0 with None.
+        node = Node(0, StaticPosition(Vec2(5, 5)))
+        assert node.position(-1.0) == Vec2(5, 5)
+        assert node.position(3.0) == Vec2(5, 5)
+        assert node.position(-1.0) == Vec2(5, 5)
+
     def test_send_without_mac_raises(self):
         node = Node(0, StaticPosition(Vec2(0, 0)))
         with pytest.raises(ConfigurationError):

@@ -1,14 +1,22 @@
 """Behavioural tests for RICA (the paper's protocol) on staged topologies."""
 
+import math
+
+import numpy as np
 import pytest
 
+from repro.channel.model import ChannelConfig
 from repro.core.rica import RicaConfig
 from repro.geometry.field import Field
 from repro.geometry.vector import Vec2
 from repro.metrics.collector import MetricsCollector
 from repro.mobility.path import WaypointPath
 from repro.mobility.static import StaticPosition
+from repro.mac.csma import ReceptionBatch
 from repro.net.network import Network
+from repro.routing.packets import CsiCheck
+from repro.sim.engine import Simulator
+from repro.sim.rng import RandomStreams
 
 from tests.helpers import (
     attach_protocols,
@@ -232,3 +240,78 @@ class TestReerWithFreshCandidate:
         relay = network.node(1).routing
         # The relay heard the checking broadcast: pointer toward node 2.
         assert relay._salvage_pointer(2, exclude=-1) is not None
+
+
+class TestCheckBroadcastPass:
+    """A checking broadcast's receivers sample their links in one channel
+    pass.  It must sample exactly the links the per-receiver path did —
+    every surviving, live receiver except the broadcasting destination —
+    with the same values and the same fading-bank state afterwards."""
+
+    RECEIVERS = list(range(1, 31))  # more than the 16-pair array cutoff
+    FLOW_DST, LOST, DOWN = 3, 5, 7
+
+    def _network(self):
+        sim = Simulator()
+        ring = [
+            (500.0 + 120.0 * math.cos(k * math.pi / 15), 500.0 + 120.0 * math.sin(k * math.pi / 15))
+            for k in range(30)
+        ]
+        network, metrics = build_static_network(
+            sim, RandomStreams(seed=77), [(500.0, 500.0)] + ring, channel_config=ChannelConfig()
+        )
+        protos = attach_protocols(network, metrics, "rica")
+        # Shared history: every link sampled once before the broadcast.
+        network.channel.csi_hop_distances(0, self.RECEIVERS, 0.5)
+        network.fail_node(self.DOWN)
+        return sim, network, protos
+
+    def _check(self):
+        return CsiCheck(0.9, flow_src=29, flow_dst=self.FLOW_DST, bcast_id=4, ttl=1)
+
+    def test_matches_per_receiver_sampling(self):
+        sim, network, protos = self._network()
+        batch = ReceptionBatch(self._check(), 0, self.RECEIVERS, {self.LOST}, 1.0)
+        sim.schedule_at(1.0, network.deliver_control_batch, batch)
+        sim.run(until=1.0)
+
+        _, reference, _ = self._network()
+        skipped = {self.FLOW_DST, self.LOST, self.DOWN}
+        expected = {
+            r: reference.channel.csi_hop_distance(0, r, 1.0)
+            for r in self.RECEIVERS
+            if r not in skipped
+        }
+        for r in self.RECEIVERS:
+            pointer = protos[r]._downstream.get((self.FLOW_DST, 4))
+            if r in skipped:
+                assert pointer is None
+            else:
+                assert pointer == (0, expected[r], 1.0)
+        bank, ref_bank = network.channel._bank, reference.channel._bank
+        assert bank.draws == ref_bank.draws
+        assert bank._row_of == ref_bank._row_of
+        n = bank.pair_count
+        assert np.array_equal(bank._ctr[:n], ref_bank._ctr[:n])
+        assert np.array_equal(bank._x[:, :n], ref_bank._x[:, :n])
+        assert np.array_equal(bank._t[:n], ref_bank._t[:n])
+        assert network.channel.samples_taken == reference.channel.samples_taken
+
+    def test_direct_delivery_takes_the_same_pass(self):
+        sim, network, protos = self._network()
+        sim.schedule_at(1.0, network.node(12).receive_control, self._check(), 0)
+        sim.run(until=1.0)
+        _, reference, _ = self._network()
+        link = reference.channel.csi_hop_distance(0, 12, 1.0)
+        assert protos[12]._downstream[(self.FLOW_DST, 4)] == (0, link, 1.0)
+        assert network.channel._bank.draws == reference.channel._bank.draws
+
+    def test_stubbed_handler_still_receives_checks(self):
+        sim, network, protos = self._network()
+        received = []
+        network.node(2).receive_control = lambda pkt, frm: received.append(pkt)
+        check = self._check()
+        sim.schedule_at(1.0, network.deliver_control_batch, ReceptionBatch(check, 0, [1, 2], set(), 1.0))
+        sim.run(until=1.0)
+        assert received == [check]
+        assert (self.FLOW_DST, 4) in protos[1]._downstream
