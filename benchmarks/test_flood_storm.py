@@ -21,12 +21,7 @@ leg on the batched MAC attempt scheduler — and records:
   its logical-events/s speedup over the scalar leg (recorded as
   ``mac_speedup``; CI gate: > 1x);
 * the medium's split collision counters (lost receptions vs collided
-  transmissions — the mean blast radius of a collision);
-* the mobility bank's snapshot-build speedup: topology snapshot builds
-  per second over distinct instants at the storm configuration, batched
-  (``MobilityBank.coords_at`` + vectorized binning) vs scalar (n Python
-  ``position()`` calls) — the hot loop PR 6 exposed (CI gate: >= 2x) —
-  plus a fully-batched end-to-end leg (batched MAC *and* mobility).
+  transmissions — the mean blast radius of a collision).
 
 Results land in ``BENCH_flood.json`` at the repo root via the shared
 ``bench_json_recorder`` fixture.
@@ -60,14 +55,6 @@ BATCH_SLOT_S = 0.002
 #: aligned completions shared them; with drift-bounded neighbour lists
 #: the scalar leg gets that saving too and the ratio is ~2x.
 MIN_MAC_SPEEDUP = 3.0
-#: CI gate: topology snapshot builds/s, batched mobility over scalar, at
-#: the storm configuration (measured ~10x+ on an idle machine; gated at
-#: 2x to absorb CI-runner noise).
-MIN_MOBILITY_SPEEDUP = 2.0
-#: Snapshot-build microbenchmark: distinct build instants and their
-#: spacing (one 5 ms epoch apart, the MAC's slot-completion cadence).
-BUILD_INSTANTS = 400
-BUILD_EPOCH_S = 0.005
 
 
 def _storm_config(
@@ -75,7 +62,6 @@ def _storm_config(
     window_s: float,
     mac_backend: str = "scalar",
     slot_s: float = 0.0,
-    mobility_backend: str = "scalar",
 ) -> ScenarioConfig:
     return ScenarioConfig(
         protocol=protocol,
@@ -87,31 +73,7 @@ def _storm_config(
         rreq_aggregation_s=window_s,
         mac_backend=mac_backend,
         mac=MacConfig(slot_align_s=slot_s),
-        mobility_backend=mobility_backend,
     )
-
-
-def _snapshot_build_rate(mobility_backend: str) -> float:
-    """Topology snapshot builds per second over distinct instants.
-
-    This isolates exactly the loop the mobility bank vectorizes: each
-    ``coords_view`` call at a fresh instant is one full snapshot build
-    (n mobility evaluations + cell binning + the coords array).  Both
-    backends pay trajectory extension along the way, so the comparison
-    is apples to apples.
-    """
-    scenario = build_scenario(
-        _storm_config("aodv", 0.0, mobility_backend=mobility_backend)
-    )
-    topo = scenario.network.topology
-    built_before = topo.snapshots_built
-    topo.coords_view(0.0)  # warm-up build outside the timed region
-    start = time.perf_counter()
-    for i in range(1, BUILD_INSTANTS):
-        topo.coords_view(i * BUILD_EPOCH_S)
-    wall = time.perf_counter() - start
-    assert topo.snapshots_built - built_before == BUILD_INSTANTS
-    return (BUILD_INSTANTS - 1) / wall
 
 
 def _run_storm(
@@ -119,11 +81,8 @@ def _run_storm(
     window_s: float,
     mac_backend: str = "scalar",
     slot_s: float = 0.0,
-    mobility_backend: str = "scalar",
 ) -> dict:
-    scenario = build_scenario(
-        _storm_config(protocol, window_s, mac_backend, slot_s, mobility_backend)
-    )
+    scenario = build_scenario(_storm_config(protocol, window_s, mac_backend, slot_s))
     start = time.perf_counter()
     report = scenario.run()
     wall_s = time.perf_counter() - start
@@ -169,13 +128,6 @@ def test_flood_storm_aggregation(bench_json_recorder):
         off = _run_storm(protocol, 0.0)
         on = _run_storm(protocol, AGG_WINDOW_S)
         batched = _run_storm(protocol, 0.0, mac_backend="batched", slot_s=BATCH_SLOT_S)
-        full = _run_storm(
-            protocol,
-            0.0,
-            mac_backend="batched",
-            slot_s=BATCH_SLOT_S,
-            mobility_backend="batched",
-        )
         reduction = off["rreq_tx"] / on["rreq_tx"] if on["rreq_tx"] else math.inf
         speedup = (
             batched["events_per_s"] / off["events_per_s"]
@@ -190,7 +142,6 @@ def test_flood_storm_aggregation(bench_json_recorder):
             "no_aggregation": off,
             "aggregated": on,
             "batched_mac": batched,
-            "batched_full": full,
             "rreq_reduction": round(reduction, 2),
             "events_per_s_batched": batched["events_per_s"],
             "mac_speedup": round(speedup, 2),
@@ -201,24 +152,8 @@ def test_flood_storm_aggregation(bench_json_recorder):
             f"({reduction:.2f}x fewer), delivery {off['delivery_pct']:.1f}% -> "
             f"{on['delivery_pct']:.1f}%, engine {off['events_per_s']}/s "
             f"(batched MAC {batched['events_per_s']}/s, {speedup:.2f}x, "
-            f"{batching:.2f} logical events per physical; "
-            f"+batched mobility {full['events_per_s']}/s)"
+            f"{batching:.2f} logical events per physical)"
         )
-    # The tentpole measurement: snapshot builds/s, scalar vs bank-backed.
-    builds_scalar = _snapshot_build_rate("scalar")
-    builds_batched = _snapshot_build_rate("batched")
-    mobility_speedup = builds_batched / builds_scalar if builds_scalar else math.inf
-    payload["mobility"] = {
-        "build_instants": BUILD_INSTANTS,
-        "build_epoch_s": BUILD_EPOCH_S,
-        "builds_per_s_scalar": round(builds_scalar),
-        "builds_per_s_batched": round(builds_batched),
-        "mobility_speedup": round(mobility_speedup, 2),
-    }
-    print(
-        f"\nsnapshot builds/s: scalar {builds_scalar:.0f} -> "
-        f"batched {builds_batched:.0f} ({mobility_speedup:.2f}x)"
-    )
     bench_json_recorder("flood", payload)
     # CI regression gate: aggregation must keep cutting the flood storm on
     # the pure-flooding baseline, without collapsing delivery.
@@ -230,6 +165,3 @@ def test_flood_storm_aggregation(bench_json_recorder):
     # per logical event than the scalar reference.
     assert batchings["aodv"] >= MIN_MAC_SPEEDUP
     assert speedups["aodv"] > 1.0
-    # CI perf gate: the mobility bank must keep snapshot builds >= 2x
-    # faster than the scalar per-node evaluation at the same stress point.
-    assert mobility_speedup >= MIN_MOBILITY_SPEEDUP

@@ -19,17 +19,16 @@ This package provides:
 * :mod:`~repro.channel.propagation` — log-distance path loss and the
   250 m transmission range predicate;
 * :mod:`~repro.channel.fading` — Gauss-Markov (AR(1)) dB processes for
-  shadowing and fast fading, advanced lazily and exactly;
+  shadowing and fast fading, advanced lazily and exactly (the per-pair
+  reference the fading bank is tested against);
 * :mod:`~repro.channel.csi` — the class enum, SNR thresholds and the
   CSI-based hop-distance metric;
 * :mod:`~repro.channel.abicm` — class → throughput mapping (the observable
   effect of the adaptive coder/modulator);
 * :mod:`~repro.channel.bank` — :class:`FadingBank`, contiguous numpy AR(1)
-  state arrays with counter-based per-pair substreams (the vectorized
-  fading backend);
+  state arrays with counter-based per-pair substreams (the fading store);
 * :mod:`~repro.channel.model` — :class:`ChannelModel`, the per-pair channel
-  store the rest of the simulator queries (vectorized by default,
-  ``backend="scalar"`` keeps the per-pair object store).
+  store the rest of the simulator queries.
 """
 
 from repro.channel.csi import ChannelClass, CsiThresholds, hop_distance
@@ -37,7 +36,7 @@ from repro.channel.abicm import AbicmScheme, CLASS_THROUGHPUT_BPS
 from repro.channel.propagation import PathLossModel
 from repro.channel.fading import GaussMarkovProcess, CompositeFadingProcess
 from repro.channel.bank import FadingBank
-from repro.channel.model import ChannelModel, ChannelConfig, CHANNEL_BACKENDS
+from repro.channel.model import ChannelModel, ChannelConfig
 
 __all__ = [
     "ChannelClass",
@@ -51,5 +50,4 @@ __all__ = [
     "FadingBank",
     "ChannelModel",
     "ChannelConfig",
-    "CHANNEL_BACKENDS",
 ]

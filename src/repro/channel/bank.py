@@ -1,11 +1,9 @@
 """The vectorized per-pair fading store: contiguous AR(1) state arrays.
 
-:class:`FadingBank` replaces the dict-of-objects
-(:class:`~repro.channel.fading.CompositeFadingProcess` per pair) fading
-store with numpy-backed state: one row per active unordered node pair,
-holding the shadowing and fast-fading AR(1) states side by side in
-contiguous float64 arrays.  A whole neighbour set advances in one
-vectorized transition
+:class:`FadingBank` holds the fading state of every link: one row per
+active unordered node pair, holding the shadowing and fast-fading AR(1)
+states side by side in contiguous float64 arrays.  A whole neighbour set
+advances in one vectorized transition
 
     x(t + dt) = rho * x(t) + sqrt(1 - rho^2) * sigma * N(0, 1),
     rho = exp(-dt / tau)
@@ -24,9 +22,7 @@ same counters drive both the vectorized batch path and the scalar
 single-pair fast path (:meth:`FadingBank.sample_pair`), so mixed call
 patterns stay deterministic.
 
-The bank is the "vectorized" backend of
-:class:`~repro.channel.model.ChannelModel`; the per-pair object store
-remains available as ``backend="scalar"``.
+The bank is the fading store of :class:`~repro.channel.model.ChannelModel`.
 """
 
 from __future__ import annotations

@@ -7,22 +7,17 @@ throughput and CSI hop distance.  Channels are symmetric —
 assumption that the CSI measured on a received packet predicts the
 quality of the reverse transmission.
 
-Two interchangeable fading backends sit underneath:
-
-* ``"vectorized"`` (default) — a :class:`~repro.channel.bank.FadingBank`:
-  contiguous numpy AR(1) state arrays, one row per active pair, advanced
-  lazily with counter-based per-pair substreams.  Neighbour-set queries
-  (:meth:`ChannelModel.states`, :meth:`ChannelModel.csi_hop_distances`)
-  run as one array pipeline — batched distances → vectorized path loss →
-  bank sample → ``searchsorted`` classification — so the Python cost per
-  query is O(1) in the neighbour count.
-* ``"scalar"`` — the original dict of per-pair
-  :class:`~repro.channel.fading.CompositeFadingProcess` objects (kept as
-  the differential-testing reference and for numpy-free analysis).
-
-Both backends are deterministic per seed; they draw from different
-substream constructions, so their sample paths differ while matching in
-distribution (pinned by ``tests/test_channel_vectorized.py``).
+The fading state lives in one :class:`~repro.channel.bank.FadingBank`:
+contiguous numpy AR(1) state arrays, one row per active pair, advanced
+lazily with counter-based per-pair substreams.  Neighbour-set queries
+(:meth:`ChannelModel.states`, :meth:`ChannelModel.csi_hop_distances`)
+past :data:`SMALL_SET_CUTOFF` run as one array pipeline — batched
+distances → vectorized path loss → bank sample → ``searchsorted``
+classification — so the Python cost per query is O(1) in the neighbour
+count.  The bank matches the per-pair
+:class:`~repro.channel.fading.CompositeFadingProcess` in distribution
+(pinned by ``tests/test_channel_vectorized.py``, which keeps that process
+as its oracle).
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from repro.channel.csi import (
     ChannelClass,
     CsiThresholds,
 )
-from repro.channel.fading import CompositeFadingProcess
 from repro.channel.propagation import PathLossModel
 from repro.errors import ConfigurationError
 from repro.geometry.vector import Vec2
@@ -50,12 +44,9 @@ from repro.sim.rng import RandomStreams, derive_seed
 if TYPE_CHECKING:  # pragma: no cover
     from repro.topology import TopologyIndex
 
-__all__ = ["ChannelModel", "ChannelConfig", "CHANNEL_BACKENDS"]
+__all__ = ["ChannelModel", "ChannelConfig"]
 
 PositionFn = Callable[[int, float], Vec2]
-
-#: Recognised fading backends.
-CHANNEL_BACKENDS = ("vectorized", "scalar")
 
 #: Below this neighbour count a batched query loops over the bank's
 #: scalar fast path instead: numpy's per-call dispatch overhead beats the
@@ -91,14 +82,11 @@ class ChannelModel:
 
     Args:
         config: channel tunables.
-        streams: random stream factory.  The scalar backend gives each
-            pair stream ``"channel/<lo>-<hi>"``; the vectorized backend
-            derives its counter-based substream root from the same master
-            seed (stream ``"channel/bank"``).
+        streams: random stream factory; the fading bank derives its
+            counter-based substream root from its master seed (stream
+            ``"channel/bank"``).
         position_fn: callback ``(node_id, t) -> Vec2`` supplying exact node
             positions (the network layer provides this).
-        backend: ``"vectorized"`` (numpy fading bank, the default) or
-            ``"scalar"`` (per-pair Python processes).
         topology: optional :class:`~repro.topology.TopologyIndex`; when
             attached, neighbour-set queries gather candidate positions and
             distances through its batched array path.
@@ -109,31 +97,20 @@ class ChannelModel:
         config: ChannelConfig,
         streams: RandomStreams,
         position_fn: PositionFn,
-        backend: str = "vectorized",
         topology: Optional["TopologyIndex"] = None,
     ) -> None:
-        if backend not in CHANNEL_BACKENDS:
-            raise ConfigurationError(
-                f"unknown channel backend {backend!r}; known: {', '.join(CHANNEL_BACKENDS)}"
-            )
         self._config = config
-        self._streams = streams
         self._position_fn = position_fn
         self._topology = topology
-        self.backend = backend
-        self._fading: Dict[Tuple[int, int], CompositeFadingProcess] = {}
-        self._bank: Optional[FadingBank] = None
-        self._sample_pair: Callable[[int, int, float], float] = self._process_sample
-        if backend == "vectorized":
-            self._bank = FadingBank(
-                derive_seed(streams.seed, "channel/bank"),
-                shadow_sigma_db=config.shadow_sigma_db,
-                shadow_tau_s=config.shadow_tau_s,
-                fast_sigma_db=config.fast_sigma_db,
-                fast_tau_s=config.fast_tau_s,
-            )
-            self._sample_pair = self._bank.sample_pair
+        self._bank = FadingBank(
+            derive_seed(streams.seed, "channel/bank"),
+            shadow_sigma_db=config.shadow_sigma_db,
+            shadow_tau_s=config.shadow_tau_s,
+            fast_sigma_db=config.fast_sigma_db,
+            fast_tau_s=config.fast_tau_s,
+        )
         # Bound once: the single-pair body runs for every sampled link.
+        self._sample_pair = self._bank.sample_pair
         self._mean_snr_db = config.path_loss.mean_snr_db
         self._classify = config.thresholds.classify
         # Memoised per-class lookups: IntEnum (or raw class value) indexes
@@ -276,12 +253,12 @@ class ChannelModel:
         """CSI classes of every a<->b channel for ``b`` in ``others``.
 
         Equivalent to ``{b: self.state(a, b, t) for b in others}`` but,
-        on the vectorized backend, computed as one array pipeline —
-        O(1) Python calls per query instead of O(neighbours) — for sets
-        past :data:`SMALL_SET_CUTOFF` (tiny sets loop over the scalar
-        fast path, which is cheaper than numpy dispatch).
+        for sets past :data:`SMALL_SET_CUTOFF`, computed as one array
+        pipeline — O(1) Python calls per query instead of O(neighbours)
+        (tiny sets loop over the single-pair formula, which is cheaper
+        than numpy dispatch).
         """
-        if self._bank is not None and len(others) > SMALL_SET_CUTOFF:
+        if len(others) > SMALL_SET_CUTOFF:
             idx = self._config.thresholds.classify_indices(self._batch_snr(a, others, t))
             classes = CLASS_BY_INDEX
             return {b: classes[i] for b, i in zip(others, idx.tolist())}
@@ -289,7 +266,7 @@ class ChannelModel:
 
     def csi_hop_distances(self, a: int, others: Sequence[int], t: float) -> Dict[int, float]:
         """CSI hop distances of every a<->b link for ``b`` in ``others``."""
-        if self._bank is not None and len(others) > SMALL_SET_CUTOFF:
+        if len(others) > SMALL_SET_CUTOFF:
             idx = self._config.thresholds.classify_indices(self._batch_snr(a, others, t))
             return dict(zip(others, self._hop_array[idx].tolist()))
         return dict(zip(others, self.link_hop_distances(a, others, t)))
@@ -300,14 +277,14 @@ class ChannelModel:
         """CSI hop distances of every link of a whole adjacency at ``t``.
 
         Equivalent to ``{a: self.csi_hop_distances(a, nbrs, t) for a, nbrs
-        in adjacency.items()}`` but, on the vectorized backend, the entire
-        network scans as *one* flattened array pipeline: every (origin,
-        neighbour) pair's distance, mean SNR, fading sample and class in
-        single numpy passes.  Symmetric pairs appearing on both rows
-        advance once and read the same sample, preserving
+        in adjacency.items()}`` but, with a topology index attached, the
+        entire network scans as *one* flattened array pipeline: every
+        (origin, neighbour) pair's distance, mean SNR, fading sample and
+        class in single numpy passes.  Symmetric pairs appearing on both
+        rows advance once and read the same sample, preserving
         ``state(a, b) == state(b, a)``.
         """
-        if self._bank is None or self._topology is None:
+        if self._topology is None:
             return {
                 a: self.csi_hop_distances(a, others, t) for a, others in adjacency.items()
             }
@@ -348,31 +325,8 @@ class ChannelModel:
             pos += n
         return out
 
-    # ------------------------------------------------------------------
-    # Scalar-backend internals
-    # ------------------------------------------------------------------
-    def _process_sample(self, a: int, b: int, t: float) -> float:
-        """The scalar backend's single-pair fading draw."""
-        return self._fading_process(a, b).sample(t)
-
-    def _fading_process(self, a: int, b: int) -> CompositeFadingProcess:
-        key = (a, b) if a < b else (b, a)
-        proc = self._fading.get(key)
-        if proc is None:
-            cfg = self._config
-            proc = CompositeFadingProcess(
-                self._streams.stream(f"channel/{key[0]}-{key[1]}"),
-                shadow_sigma_db=cfg.shadow_sigma_db,
-                shadow_tau_s=cfg.shadow_tau_s,
-                fast_sigma_db=cfg.fast_sigma_db,
-                fast_tau_s=cfg.fast_tau_s,
-            )
-            self._fading[key] = proc
-        return proc
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        pairs = self._bank.pair_count if self._bank is not None else len(self._fading)
         return (
-            f"ChannelModel(backend={self.backend}, pairs={pairs}, "
+            f"ChannelModel(pairs={self._bank.pair_count}, "
             f"samples={self.samples_taken})"
         )

@@ -202,8 +202,11 @@ class ProcessPoolBackend(ExecutionBackend):
     others); a worker *crash* or cell *timeout* poisons the executor, so
     the backend harvests every finished result, tears the pool down
     (terminating stragglers), and rebuilds it for the unresolved cells.
-    After ``max_retries`` such incidents the survivors run one-per-
-    executor, so a crash is attributed to exactly the cell that caused it.
+    A timeout is charged to the cell that ran out of time; a crash in a
+    shared pool is charged to no cell, because the cell being waited on
+    need not be the one whose worker died.  After ``max_retries`` such
+    incidents the survivors run one-per-executor, so a crash is
+    attributed to exactly the cell that caused it.
     """
 
     def __init__(self, jobs: int, policy: Optional[RetryPolicy] = None) -> None:
@@ -286,40 +289,43 @@ class ProcessPoolBackend(ExecutionBackend):
         Returns None when the round fully resolved (every cell got a
         value or a recorded exception-failure), or the incident kind
         ("worker_crash"/"timeout") that poisoned the pool — in which case
-        finished results are harvested and the suspect cell is charged.
+        finished results are harvested first.  A timeout is charged to
+        the cell being waited on.  A broken pool, whether ``submit`` or
+        ``result`` reports it, is charged to no cell.
         """
         policy = self.policy
-        futures = {idx: executor.submit(fn, items[idx]) for idx in unresolved}
-        for idx in unresolved:
-            while idx not in outcomes:
-                future = futures[idx]
-                try:
-                    value = future.result(timeout=policy.cell_timeout_s)
-                except BrokenProcessPool as exc:
-                    self._harvest(futures, unresolved, attempts, outcomes, skip=idx)
-                    self._charge_incident(idx, "worker_crash", exc, attempts, outcomes)
-                    return "worker_crash"
-                except FuturesTimeout as exc:
-                    if future.done():
+        futures: Dict[int, Any] = {}
+        try:
+            for idx in unresolved:
+                futures[idx] = executor.submit(fn, items[idx])
+            for idx in unresolved:
+                while idx not in outcomes:
+                    future = futures[idx]
+                    try:
+                        value = future.result(timeout=policy.cell_timeout_s)
+                    except BrokenProcessPool:
+                        raise
+                    except Exception as exc:  # noqa: BLE001 - fn raised in worker
                         # Python >= 3.11 aliases futures' TimeoutError to
-                        # the builtin: a done future means fn itself
-                        # raised TimeoutError — an ordinary cell error.
+                        # the builtin: a done future means fn itself raised
+                        # TimeoutError — an ordinary cell error.
+                        if isinstance(exc, FuturesTimeout) and not future.done():
+                            self._harvest(futures, unresolved, attempts, outcomes, skip=idx)
+                            self._charge_timeout(idx, exc, attempts, outcomes)
+                            return "timeout"
                         if self._charge_error(idx, exc, attempts, outcomes):
                             break
+                        # Charged: if the resubmit finds the pool broken,
+                        # the harvest must not charge this error again.
+                        del futures[idx]
                         time.sleep(policy.backoff_s(attempts[idx] - 1))
                         futures[idx] = executor.submit(fn, items[idx])
-                        continue
-                    self._harvest(futures, unresolved, attempts, outcomes, skip=idx)
-                    self._charge_incident(idx, "timeout", exc, attempts, outcomes)
-                    return "timeout"
-                except Exception as exc:  # noqa: BLE001 - fn raised in worker
-                    if self._charge_error(idx, exc, attempts, outcomes):
-                        break
-                    time.sleep(policy.backoff_s(attempts[idx] - 1))
-                    futures[idx] = executor.submit(fn, items[idx])
-                else:
-                    attempts[idx] += 1
-                    outcomes[idx] = CellOutcome(idx, value=value)
+                    else:
+                        attempts[idx] += 1
+                        outcomes[idx] = CellOutcome(idx, value=value)
+        except BrokenProcessPool:
+            self._harvest(futures, unresolved, attempts, outcomes)
+            return "worker_crash"
         return None
 
     def _charge_error(
@@ -343,19 +349,18 @@ class ProcessPoolBackend(ExecutionBackend):
             return True
         return False
 
-    def _charge_incident(
+    def _charge_timeout(
         self,
         idx: int,
-        kind: str,
         exc: BaseException,
         attempts: List[int],
         outcomes: Dict[int, CellOutcome],
     ) -> None:
-        """Charge the cell we were waiting on when the pool went down."""
+        """Charge the cell that ran out of time."""
         attempts[idx] += 1
         if attempts[idx] > self.policy.max_retries:
             outcomes[idx] = CellOutcome(
-                idx, failure=CellFailure(idx, kind, repr(exc), attempts[idx])
+                idx, failure=CellFailure(idx, "timeout", repr(exc), attempts[idx])
             )
 
     def _harvest(
@@ -364,7 +369,7 @@ class ProcessPoolBackend(ExecutionBackend):
         unresolved: List[int],
         attempts: List[int],
         outcomes: Dict[int, CellOutcome],
-        skip: int,
+        skip: Optional[int] = None,
     ) -> None:
         """Bank results that finished before the pool went down.
 

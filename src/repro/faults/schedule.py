@@ -6,8 +6,8 @@ compilation is a pure function of ``(config, n_nodes, seed, horizon)``:
 churn timelines are walked per node with exponential draws from
 counter-based splitmix64 substreams (``derive_key(derive_seed(seed,
 "faults/churn"), node)``), so the same scenario compiles to byte-identical
-fault streams under any execution backend, MAC backend or mobility backend
-— the schedule never reads simulation state.
+fault streams under any execution backend or MAC backend — the schedule
+never reads simulation state.
 
 :class:`FaultInjector` arms the compiled events on the
 :class:`~repro.sim.engine.Simulator` (they drain through the ordinary

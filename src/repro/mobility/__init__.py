@@ -10,11 +10,6 @@ property is that :meth:`~repro.mobility.base.MobilityModel.position` is an
 exact closed-form function of time — there is no per-tick integration, so
 any layer may sample a position at any instant at O(segments traversed)
 amortised cost.
-
-:class:`~repro.mobility.bank.MobilityBank` is the vectorized counterpart:
-every node's trajectory lives as rows of segment arrays with counter-based
-substreams, so a whole-network position snapshot is one masked numpy lerp
-(``ScenarioConfig.mobility_backend="batched"``; see docs/PERFORMANCE.md).
 """
 
 from repro.mobility.base import MobilityModel
@@ -22,7 +17,6 @@ from repro.mobility.static import StaticPosition
 from repro.mobility.waypoint import RandomWaypoint
 from repro.mobility.direction import RandomDirection
 from repro.mobility.path import WaypointPath
-from repro.mobility.bank import MOBILITY_BACKENDS, BankTrajectory, MobilityBank
 
 __all__ = [
     "MobilityModel",
@@ -30,7 +24,4 @@ __all__ = [
     "RandomWaypoint",
     "RandomDirection",
     "WaypointPath",
-    "MobilityBank",
-    "BankTrajectory",
-    "MOBILITY_BACKENDS",
 ]

@@ -33,11 +33,9 @@ __all__ = ["RandomDirection", "boundary_hit"]
 def boundary_hit(field: Field, origin: Vec2, heading: float) -> Vec2:
     """First intersection of a heading ray with the field boundary.
 
-    Shared by the scalar model and :class:`repro.mobility.bank.MobilityBank`
-    (segment assembly stays scalar in both, so batched trajectories use the
-    very same cos/sin/division sequence).  Degenerate rays — starting on an
-    edge and pointing outward, or axis-parallel along an edge — return
-    ``origin`` unchanged; the caller re-aims.
+    Degenerate rays — starting on an edge and pointing outward, or
+    axis-parallel along an edge — return ``origin`` unchanged; the caller
+    re-aims.
     """
     dx, dy = math.cos(heading), math.sin(heading)
     best = math.inf

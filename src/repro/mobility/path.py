@@ -30,11 +30,6 @@ class WaypointPath(MobilityModel):
         self._anchors: List[Tuple[float, Vec2]] = list(anchors)
 
     @property
-    def anchors(self) -> Tuple[Tuple[float, Vec2], ...]:
-        """The validated ``(time, point)`` anchors, in order."""
-        return tuple(self._anchors)
-
-    @property
     def speed_bound(self) -> float:
         """The fastest leg's speed (0 for a single anchor)."""
         legs = zip(self._anchors, self._anchors[1:])

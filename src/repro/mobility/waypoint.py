@@ -55,9 +55,7 @@ class Segment:
         """Position at ``t`` (must lie within the segment).
 
         Zero-length segments (``t_end <= t_start``) return ``a`` exactly;
-        otherwise the anchor-form lerp ``a + (b - a) * frac`` — the same
-        expression :class:`repro.mobility.bank.MobilityBank` vectorizes, so
-        scalar and batched evaluation agree bit-for-bit.
+        otherwise the anchor-form lerp ``a + (b - a) * frac``.
         """
         if self.t_end <= self.t_start:
             return self.a
@@ -125,27 +123,12 @@ class LegTrajectory(MobilityModel):
             self._leg = (0.0, math.inf, 1.0, origin.x, origin.y, -0.0, -0.0)
 
     @property
-    def max_speed(self) -> float:
-        """Configured maximum speed in m/s."""
-        return self._max_speed
-
-    @property
-    def pause_time(self) -> float:
-        """Configured pause at the end of each leg in seconds."""
-        return self._pause
-
-    @property
     def speed_bound(self) -> float:
         """Every leg's speed is a clamped draw from ``[0, max_speed]``;
         a parked terminal (``max_speed == 0``) never moves."""
         if self._max_speed <= 0.0:
             return 0.0
         return max(self._max_speed, _MIN_SPEED)
-
-    @property
-    def origin(self) -> Vec2:
-        """Position at t = 0 (the initial zero-length pause's anchor)."""
-        return self._segments[0].a
 
     def position(self, t: float) -> Vec2:
         t0, t1, span, ax, ay, dx, dy = self._leg

@@ -42,7 +42,6 @@ from repro.mac.bank import BackoffBank, ContentionScheduler
 from repro.mac.csma import MAC_BACKENDS, CsmaMac, MacConfig, ReceptionBatch
 from repro.mac.medium import CommonChannelMedium
 from repro.metrics.collector import MetricsCollector
-from repro.mobility.bank import MOBILITY_BACKENDS, MobilityBank
 from repro.mobility.base import MobilityModel
 from repro.net.datalink import DataLink, DataLinkConfig
 from repro.net.node import Node
@@ -71,9 +70,7 @@ class Network:
         mac_config: Optional[MacConfig] = None,
         datalink_config: Optional[DataLinkConfig] = None,
         position_epoch_s: float = 0.0,
-        channel_backend: str = "vectorized",
         mac_backend: str = "scalar",
-        mobility_backend: str = "scalar",
     ) -> None:
         self.sim = sim
         self.field = field
@@ -92,7 +89,6 @@ class Network:
             channel_config,
             streams,
             self.topology.position,
-            backend=channel_backend,
             topology=self.topology,
         )
         self._mac_config = mac_config or MacConfig()
@@ -118,22 +114,6 @@ class Network:
                 sim, self.medium, bank, slot_align_s=self._mac_config.slot_align_s
             )
             self.ack_wheel = TimerWheel(sim, quantum_s=self._mac_config.slot_align_s)
-        if mobility_backend not in MOBILITY_BACKENDS:
-            raise ConfigurationError(
-                f"unknown mobility backend {mobility_backend!r}; "
-                f"known: {', '.join(MOBILITY_BACKENDS)}"
-            )
-        self.mobility_backend = mobility_backend
-        # Batched mobility: one MobilityBank holds every node's trajectory
-        # as segment arrays; add_node re-homes each model onto a bank row
-        # and the topology index builds snapshots from one coords_at call.
-        # None in scalar mode — per-node models, the reference path.
-        self.mobility_bank: Optional[MobilityBank] = None
-        if mobility_backend == "batched":
-            self.mobility_bank = MobilityBank(
-                derive_seed(streams.seed, "mobility/bank"), field
-            )
-            self.topology.set_bulk_source(self.mobility_bank.coords_at)
         self._datalink_config = datalink_config or DataLinkConfig()
         self._nodes: Dict[int, Node] = {}
         # Fault state: node_id -> set of down-reasons ("churn", "energy",
@@ -157,11 +137,6 @@ class Network:
         nid = node_id if node_id is not None else len(self._nodes)
         if nid in self._nodes:
             raise TopologyError(f"node id {nid} already exists")
-        if self.mobility_bank is not None:
-            # Re-home the model onto a bank row: the node's position()
-            # calls and the topology's bulk snapshot builds then read the
-            # same segment arrays.
-            mobility = self.mobility_bank.adopt(nid, mobility)
         node = Node(nid, mobility)
         node.mac = CsmaMac(
             node_id=nid,

@@ -12,10 +12,11 @@ the stream name, so:
   practical purposes (SHA-256 of ``(seed, name)``).
 
 Besides the stateful :class:`random.Random` substreams, this module hosts
-the *counter-based* substream primitives the vectorized banks build on
-(:class:`repro.channel.bank.FadingBank`, :class:`repro.mac.bank.BackoffBank`):
-a splitmix64 finalizer plus :func:`derive_key` / :func:`derive_key_array`,
-which map an entity index onto a 64-bit stream key.  Draw ``k`` of entity
+the *counter-based* substream primitives the vectorized banks and the
+fault schedule build on (:class:`repro.channel.bank.FadingBank`,
+:class:`repro.mac.bank.BackoffBank`, :mod:`repro.faults`): a splitmix64
+finalizer plus :func:`derive_key` / :func:`derive_key_array`, which map
+an entity index onto a 64-bit stream key.  Draw ``k`` of entity
 ``i`` is then the pure function ``splitmix64(key_i + k * SPLITMIX_GAMMA)``
 — reproducible per seed and independent of how draws are batched.
 """
@@ -95,17 +96,11 @@ def derive_seed(master_seed: int, name: str) -> int:
 class CounterRandom:
     """Stateful view over a counter-based substream.
 
-    Exposes the tiny slice of the ``random.Random`` API the mobility models
-    consume (``random()`` / ``uniform()``), but sources every draw from the
-    pure counter function ``splitmix64(key + k * SPLITMIX_GAMMA)`` — the
-    exact convention :class:`repro.mac.bank.BackoffBank` and
-    :class:`repro.mobility.bank.MobilityBank` use.  Draw ``k`` is converted
-    to a float in ``[0, 1)`` from the top 53 bits, and ``uniform(a, b)``
-    applies the same affine map as ``random.Random.uniform``, so a scalar
-    model driven by a ``CounterRandom`` produces *bitwise* the same
-    trajectory as a bank row sharing its key.  That equivalence is what the
-    scalar-vs-batched differential tests in ``tests/test_mobility_bank.py``
-    pin down.
+    ``random()`` returns draw ``k`` of the pure counter function
+    ``splitmix64(key + k * SPLITMIX_GAMMA)`` — the convention
+    :class:`repro.mac.bank.BackoffBank` uses — as a float in ``[0, 1)``
+    from its top 53 bits.  :mod:`repro.faults` draws churn and energy
+    budgets from it, so a fault schedule depends on its key alone.
     """
 
     __slots__ = ("_key", "_counter")
@@ -114,20 +109,11 @@ class CounterRandom:
         self._key = key & _M64
         self._counter = 0
 
-    @property
-    def counter(self) -> int:
-        """Number of draws consumed so far."""
-        return self._counter
-
     def random(self) -> float:
         """Next uniform float in ``[0, 1)`` (top 53 bits of splitmix64)."""
         z = splitmix64((self._key + self._counter * SPLITMIX_GAMMA) & _M64)
         self._counter += 1
         return (z >> 11) * 2.0**-53
-
-    def uniform(self, a: float, b: float) -> float:
-        """``a + (b - a) * random()`` — bit-compatible with ``random.Random``."""
-        return a + (b - a) * self.random()
 
 
 class RandomStreams:

@@ -210,7 +210,6 @@ class TopologyIndex:
         # the ids within radius + skin of it there (built on first query).
         self._anchor: Optional[_Snapshot] = None
         self._lists: Dict[int, List[int]] = {}
-        self._bulk_source: Optional[Callable[[float], np.ndarray]] = None
         self._ids_dense: Optional[bool] = None  # cached; None = unknown
         #: Diagnostics: full snapshot builds and incremental bucket moves.
         self.snapshots_built = 0
@@ -281,20 +280,6 @@ class TopologyIndex:
     def is_active(self, node_id: int) -> bool:
         """True unless ``node_id`` was deactivated via :meth:`set_active`."""
         return node_id not in self._inactive
-
-    def set_bulk_source(self, source: Callable[[float], np.ndarray]) -> None:
-        """Wire in a bulk position source (e.g. ``MobilityBank.coords_at``).
-
-        ``source(t)`` must return an (n, 2) float array whose row ``i`` is
-        node ``i``'s position — i.e. node ids must be dense 0..n-1 (the
-        batched mobility contract).  Snapshot builds then become one array
-        call plus vectorized cell binning instead of n Python
-        ``position()`` calls; if ids are ever non-dense the index falls
-        back to the scalar build, which stays correct because the per-node
-        ``position_fn``s read the same bank rows.
-        """
-        self._bulk_source = source
-        self._invalidate()
 
     def __len__(self) -> int:
         return len(self._position_fns)
@@ -707,33 +692,22 @@ class TopologyIndex:
     def _build_array(self, ts: float) -> _Snapshot:
         """Positions as columns + vectorized cell binning (dense ids).
 
-        Positions come from the bulk source when one is wired in, else
-        from one ``position()`` call per node.  Cell indices replicate
-        ``UniformGrid._col``/``_row`` exactly (clamp, divide, truncate,
-        clamp to the last cell — truncation equals floor for the
-        non-negative clamped values), so both flavours bucket
+        Positions come from one ``position()`` call per node.  Cell
+        indices replicate ``UniformGrid._col``/``_row`` exactly (clamp,
+        divide, truncate, clamp to the last cell — truncation equals floor
+        for the non-negative clamped values), so both flavours bucket
         identically.  Against the latest snapshot only nodes whose packed
         cell code changed move buckets, copy-on-write.
         """
         self.snapshots_built += 1
         n = len(self._position_fns)
-        if self._bulk_source is not None:
-            coords = np.asarray(self._bulk_source(ts), dtype=float)
-            if coords.shape != (n, 2):
-                raise TopologyError(
-                    f"bulk position source returned shape {coords.shape}, "
-                    f"expected ({n}, 2)"
-                )
-            xl = coords[:, 0].tolist()
-            yl = coords[:, 1].tolist()
-        else:
-            xl = []
-            yl = []
-            for fn in self._position_fns.values():
-                x, y = fn(ts)
-                xl.append(x)
-                yl.append(y)
-            coords = np.column_stack((xl, yl))
+        xl = []
+        yl = []
+        for fn in self._position_fns.values():
+            x, y = fn(ts)
+            xl.append(x)
+            yl.append(y)
+        coords = np.column_stack((xl, yl))
         grid = self.grid
         cs = grid.cell_size
         col = np.minimum(

@@ -19,26 +19,12 @@ def pytest_addoption(parser):
         "honour it (the determinism pipeline); CI runs the tier-1 "
         "differential leg with 'batched'.",
     )
-    parser.addoption(
-        "--mobility-backend",
-        default="scalar",
-        choices=("scalar", "batched"),
-        help="mobility backend for scenario-level tests that honour it "
-        "(the determinism pipeline); CI runs an extra differential leg "
-        "with 'batched'.",
-    )
 
 
 @pytest.fixture(scope="session")
 def mac_backend(request):
     """The --mac-backend option (scenario-level backend differentials)."""
     return request.config.getoption("--mac-backend")
-
-
-@pytest.fixture(scope="session")
-def mobility_backend(request):
-    """The --mobility-backend option (scenario-level backend differentials)."""
-    return request.config.getoption("--mobility-backend")
 
 
 @pytest.fixture

@@ -59,6 +59,15 @@ def _hang_on(item):
     return item * item
 
 
+def _slow_innocent(item):
+    """Sleep on item 0, kill the worker at once on item 1, square the rest."""
+    if item == 0:
+        time.sleep(0.5)
+    if item == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item * item
+
+
 def _kill_once(item):
     """Kill the worker on the first attempt at item 1, succeed after."""
     path, x = item
@@ -172,6 +181,18 @@ class TestPoolResilience:
         assert outcomes[1].failure is not None
         assert outcomes[1].failure.kind == "worker_crash"
         # The innocent bystanders all completed despite the poisoned pool.
+        assert [o.value for o in outcomes if o.ok] == [0, 4, 9]
+        _assert_workers_reaped()
+
+    def test_crash_is_not_charged_to_the_cell_being_waited_on(self):
+        """The round waits on slow cell 0 while cell 1's worker dies: the
+        crash must land on cell 1, never on the innocent cell 0."""
+        backend = ProcessPoolBackend(jobs=2, policy=RetryPolicy(max_retries=0, **FAST))
+        outcomes = list(backend.map_outcomes(_slow_innocent, [0, 1, 2, 3]))
+        assert [o.index for o in outcomes] == [0, 1, 2, 3]
+        assert outcomes[1].failure is not None
+        assert outcomes[1].failure.kind == "worker_crash"
+        assert [o.index for o in outcomes if o.ok] == [0, 2, 3]
         assert [o.value for o in outcomes if o.ok] == [0, 4, 9]
         _assert_workers_reaped()
 

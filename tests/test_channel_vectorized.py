@@ -1,18 +1,18 @@
-"""Tests for the vectorized channel pipeline (FadingBank + backends).
+"""Tests for the vectorized channel pipeline (FadingBank + ChannelModel).
 
 Four layers of guarantees:
 
 * **Exact transitions** — given identical innovations, the bank applies
   the same AR(1) update as :class:`GaussMarkovProcess` (hypothesis
   property test, scalar and vectorized sampling paths).
-* **Matched statistics** — the scalar and vectorized backends draw from
-  different substream constructions, so their sample paths differ; the
-  differential tests pin mean / variance / lag autocorrelation of both
-  to the same theoretical values within CI bounds.
-* **Determinism** — per-seed reproducibility of both backends, including
-  batch-composition independence (a pair consumes the same draws whether
-  sampled alone or inside a neighbour-set batch) and full-scenario
-  byte-equality.
+* **Matched statistics** — the bank and the per-pair
+  :class:`CompositeFadingProcess` oracle draw from different substream
+  constructions, so their sample paths differ; the differential tests pin
+  mean / variance / lag autocorrelation of both to the same theoretical
+  values within CI bounds, and the class mix they visit to each other.
+* **Determinism** — per-seed reproducibility, including batch-composition
+  independence (a pair consumes the same draws whether sampled alone or
+  inside a neighbour-set batch) and full-scenario byte-equality.
 * **Pipeline equivalence** — batched (`states`, `csi_hop_distances`,
   `csi_hop_map`) and single-pair queries agree with each other and with
   the topology's batched geometry.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -124,7 +125,8 @@ class TestExactTransition:
 
 
 class TestMatchedStatistics:
-    """Scalar and vectorized fading match in distribution (not samples)."""
+    """The bank and the per-pair fading process match in distribution
+    (not samples)."""
 
     SIGMA_S, TAU_S = 4.0, 2.0
     SIGMA_F, TAU_F = 3.0, 0.4
@@ -182,23 +184,25 @@ class TestMatchedStatistics:
         assert stats["bank"][2] == pytest.approx(stats["scalar"][2], abs=0.04)
 
     def test_class_mix_matches_between_backends(self):
-        """At a mid-range distance both backends visit the same class mix."""
+        """At a mid-range distance the bank-backed model visits the class
+        mix of ``classify(mean_snr_db(150 m) + CompositeFadingProcess)``."""
+        config = ChannelConfig()
         positions = {0: Vec2(0, 0), 1: Vec2(150, 0)}
-        counts = {}
-        for backend in ("vectorized", "scalar"):
-            model = ChannelModel(
-                ChannelConfig(), RandomStreams(23), lambda nid, t: positions[nid],
-                backend=backend,
-            )
-            freq = {cls: 0 for cls in ChannelClass}
-            n = 4000
-            for i in range(n):
-                freq[model.state(0, 1, (i + 1) * 2.0)] += 1
-            counts[backend] = {cls: c / n for cls, c in freq.items()}
+        model = ChannelModel(config, RandomStreams(23), lambda nid, t: positions[nid])
+        proc = CompositeFadingProcess(
+            RandomStreams(23).stream("channel/0-1"),
+            shadow_sigma_db=config.shadow_sigma_db,
+            shadow_tau_s=config.shadow_tau_s,
+            fast_sigma_db=config.fast_sigma_db,
+            fast_tau_s=config.fast_tau_s,
+        )
+        mean = config.path_loss.mean_snr_db(150.0)
+        n = 4000
+        instants = [(i + 1) * 2.0 for i in range(n)]
+        bank = Counter(model.state(0, 1, t) for t in instants)
+        oracle = Counter(config.thresholds.classify(mean + proc.sample(t)) for t in instants)
         for cls in ChannelClass:
-            assert counts["vectorized"][cls] == pytest.approx(
-                counts["scalar"][cls], abs=0.05
-            ), cls
+            assert bank[cls] / n == pytest.approx(oracle[cls] / n, abs=0.05), cls
 
 
 class TestDeterminism:
@@ -234,8 +238,7 @@ class TestDeterminism:
         bank = FadingBank(5)
         assert bank.sample_pair(2, 6, 1.0) == bank.sample_pair(6, 2, 1.0)
 
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_scenario_runs_are_reproducible(self, backend):
+    def test_scenario_runs_are_reproducible(self):
         from repro.experiments.scenario import ScenarioConfig, run_scenario
 
         config = ScenarioConfig(
@@ -244,7 +247,6 @@ class TestDeterminism:
             n_flows=3,
             duration_s=3.0,
             seed=7,
-            channel_backend=backend,
         )
         first = dataclasses.asdict(run_scenario(config))
         second = dataclasses.asdict(run_scenario(config))
@@ -252,30 +254,17 @@ class TestDeterminism:
         other = dataclasses.asdict(run_scenario(config.with_(seed=8)))
         assert other != first
 
-    def test_backend_knob_validated(self):
-        from repro.experiments.scenario import ScenarioConfig
-
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(channel_backend="fancy")
-        positions = {0: Vec2(0, 0)}
-        with pytest.raises(ConfigurationError):
-            ChannelModel(
-                ChannelConfig(), RandomStreams(1), lambda nid, t: positions[nid],
-                backend="fancy",
-            )
-
 
 class TestPipelineEquivalence:
     """Batched queries agree with single-pair queries and geometry."""
 
-    def make_model(self, n=40, backend="vectorized", with_topology=True, seed=11):
+    def make_model(self, n=40, with_topology=True, seed=11):
         positions = make_positions(n)
         topo = make_topology(positions) if with_topology else None
         model = ChannelModel(
             ChannelConfig(),
             RandomStreams(seed),
             (topo.position if topo is not None else (lambda nid, t: positions[nid])),
-            backend=backend,
             topology=topo,
         )
         return model, topo, positions
@@ -317,10 +306,9 @@ class TestPipelineEquivalence:
         states = m2.states(0, others, 1.5)
         assert hops == {b: hop_distance(s) for b, s in states.items()}
 
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    def test_csi_hop_map_equivalent_to_per_set_queries(self, backend):
-        m1, topo, _ = self.make_model(backend=backend, seed=13)
-        m2, _, _ = self.make_model(backend=backend, seed=13)
+    def test_csi_hop_map_equivalent_to_per_set_queries(self):
+        m1, topo, _ = self.make_model(seed=13)
+        m2, _, _ = self.make_model(seed=13)
         adj = topo.neighbor_map(2.0)
         bulk = m1.csi_hop_map(adj, 2.0)
         per_set = {a: m2.csi_hop_distances(a, nbrs, 2.0) for a, nbrs in adj.items()}
@@ -356,11 +344,9 @@ class TestLinkPass:
     same values, the same draws and the same bank state as one
     ``csi_hop_distance`` per link, whatever the set size."""
 
-    def make_pair(self, backend, seed=23):
+    def make_pair(self, seed=23):
         def one():
-            model, _, _ = TestPipelineEquivalence().make_model(
-                n=40, backend=backend, seed=seed
-            )
+            model, _, _ = TestPipelineEquivalence().make_model(n=40, seed=seed)
             # Shared history: earlier samples of some of the links, one
             # of them through the array pipeline.
             model.csi_hop_distances(0, list(range(1, 30)), 0.5)
@@ -369,30 +355,28 @@ class TestLinkPass:
 
         return one(), one()
 
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
     @pytest.mark.parametrize("size", [1, 5, 16, 17, 39])
-    def test_matches_per_pair_queries(self, backend, size):
-        passed, per_pair = self.make_pair(backend)
+    def test_matches_per_pair_queries(self, size):
+        passed, per_pair = self.make_pair()
         others = list(range(39, 39 - size, -1))
         for t in (1.0, 1.0, 2.75):
             got = passed.link_hop_distances(0, others, t)
             assert got == [per_pair.csi_hop_distance(0, b, t) for b in others]
         assert passed.samples_taken == per_pair.samples_taken
-        if backend == "vectorized":
-            bank_a, bank_b = passed._bank, per_pair._bank
-            assert bank_a.draws == bank_b.draws
-            assert bank_a._row_of == bank_b._row_of
-            n = bank_a.pair_count
-            assert np.array_equal(bank_a._ctr[:n], bank_b._ctr[:n])
-            assert np.array_equal(bank_a._x[:, :n], bank_b._x[:, :n])
-            assert np.array_equal(bank_a._t[:n], bank_b._t[:n])
+        bank_a, bank_b = passed._bank, per_pair._bank
+        assert bank_a.draws == bank_b.draws
+        assert bank_a._row_of == bank_b._row_of
+        n = bank_a.pair_count
+        assert np.array_equal(bank_a._ctr[:n], bank_b._ctr[:n])
+        assert np.array_equal(bank_a._x[:, :n], bank_b._x[:, :n])
+        assert np.array_equal(bank_a._t[:n], bank_b._t[:n])
         # Both continue identically.
         assert [passed.csi_hop_distance(0, b, 4.0) for b in range(1, 40)] == [
             per_pair.csi_hop_distance(0, b, 4.0) for b in range(1, 40)
         ]
 
     def test_empty_set_samples_nothing(self):
-        model, _ = self.make_pair("vectorized")
+        model, _ = self.make_pair()
         draws = model._bank.draws
         assert model.link_hop_distances(0, [], 3.0) == []
         assert model._bank.draws == draws

@@ -24,6 +24,13 @@ class TestParser:
         assert args.rreq_aggregation == 0.04
         assert build_parser().parse_args(["run"]).rreq_aggregation == 0.0
 
+    @pytest.mark.parametrize(
+        "flag", [["--mobility-backend", "batched"], ["--channel-backend", "scalar"]]
+    )
+    def test_run_has_no_trajectory_or_fading_store_selector(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", *flag])
+
     def test_figure_requires_valid_id(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig99"])

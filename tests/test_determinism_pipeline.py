@@ -25,18 +25,15 @@ BASE = ScenarioConfig(protocol="rica", n_nodes=20, duration_s=3.0, seed=5)
 
 
 @pytest.fixture
-def base(mac_backend, mobility_backend):
-    """The base scenario on the backends selected by ``--mac-backend`` /
-    ``--mobility-backend``.
+def base(mac_backend):
+    """The base scenario on the MAC backend selected by ``--mac-backend``.
 
-    The run-vs-step differential below must hold for *every* backend
-    combination: the batched MAC scheduler only coalesces events, and the
-    mobility bank only changes how positions are evaluated — neither may
-    reorder events relative to the ``(time, seq)`` contract.  CI runs
-    this module again with ``--mac-backend batched`` and with
-    ``--mobility-backend batched``.
+    The run-vs-step differential below must hold on either MAC backend:
+    the batched scheduler only coalesces events, and may never reorder
+    them relative to the ``(time, seq)`` contract.  CI runs this module
+    again with ``--mac-backend batched``.
     """
-    return BASE.with_(mac_backend=mac_backend, mobility_backend=mobility_backend)
+    return BASE.with_(mac_backend=mac_backend)
 
 
 def _report_json(report) -> str:

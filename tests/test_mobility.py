@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.geometry.field import Field
 from repro.geometry.vector import Vec2
-from repro.mobility.bank import BankTrajectory, MobilityBank
 from repro.mobility.base import DRIFT_MARGIN_M
 from repro.mobility.direction import RandomDirection
 from repro.mobility.path import WaypointPath
@@ -216,12 +215,6 @@ class TestSpeedBound:
     def test_single_anchor_path_and_static(self):
         assert WaypointPath([(1.0, Vec2(3, 4))]).speed_bound == 0.0
         assert StaticPosition(Vec2(3, 4)).speed_bound == 0.0
-
-    def test_bank_rows_declare_no_bound(self):
-        bank = MobilityBank(1, Field(1000, 1000))
-        row = bank.adopt(0, RandomWaypoint(Field(1000, 1000), random.Random(1), 20.0))
-        assert isinstance(row, BankTrajectory)
-        assert row.speed_bound is None
 
 
 def _bits(p):

@@ -1,6 +1,13 @@
 """Unit tests for deterministic named random streams."""
 
-from repro.sim.rng import RandomStreams, derive_seed
+from repro.sim.rng import (
+    SPLITMIX_GAMMA,
+    CounterRandom,
+    RandomStreams,
+    derive_key,
+    derive_seed,
+    splitmix64,
+)
 
 
 class TestDeriveSeed:
@@ -56,3 +63,18 @@ class TestRandomStreams:
 
     def test_seed_property(self):
         assert RandomStreams(99).seed == 99
+
+
+class TestCounterRandom:
+    def test_draw_k_is_top_53_bits_of_splitmix(self):
+        """Draw k of a key is the top 53 bits of splitmix64(key + k * gamma)."""
+        key = derive_key(derive_seed(9, "faults/churn"), 4)
+        rng = CounterRandom(key)
+        draws = [rng.random() for _ in range(8)]
+        expected = [
+            (splitmix64((key + k * SPLITMIX_GAMMA) % 2**64) >> 11) * 2.0**-53
+            for k in range(8)
+        ]
+        assert draws == expected
+        assert all(0.0 <= u < 1.0 for u in draws)
+        assert len(set(draws)) == len(draws)
